@@ -407,6 +407,13 @@ func (d *Dec) Varint() int64 {
 	if d.err != nil {
 		return 0
 	}
+	if len(d.buf) > 0 && d.buf[0] < 0x80 {
+		// One-byte zig-zag encoding, the common case for step fields
+		// and small counts, decoded without the general loop.
+		u := int64(d.buf[0])
+		d.buf = d.buf[1:]
+		return u>>1 ^ -(u & 1)
+	}
 	v, n := binary.Varint(d.buf)
 	if n <= 0 {
 		d.fail()

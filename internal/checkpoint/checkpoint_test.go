@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -138,6 +139,29 @@ func TestEncDecRoundTrip(t *testing.T) {
 	}
 	if v := d.Bytes(int(d.Uvarint())); string(v) != "xyz" {
 		t.Errorf("Bytes = %q", v)
+	}
+	if d.Err() != nil || d.Len() != 0 {
+		t.Errorf("err=%v len=%d", d.Err(), d.Len())
+	}
+}
+
+// TestVarintAcrossWidths round-trips signed varints on both sides of
+// the one-byte fast path (|v| <= 64) and far past it.
+func TestVarintAcrossWidths(t *testing.T) {
+	var vs []int64
+	for v := int64(-130); v <= 130; v++ {
+		vs = append(vs, v)
+	}
+	vs = append(vs, 1<<40, -1<<40, math.MaxInt64, math.MinInt64)
+	var e Enc
+	for _, v := range vs {
+		e.Varint(v)
+	}
+	d := NewDec(e.Buf)
+	for _, want := range vs {
+		if got := d.Varint(); got != want {
+			t.Fatalf("Varint = %d, want %d", got, want)
+		}
 	}
 	if d.Err() != nil || d.Len() != 0 {
 		t.Errorf("err=%v len=%d", d.Err(), d.Len())

@@ -451,3 +451,15 @@ func TestPACLemma33Wording(t *testing.T) {
 		t.Fatalf("L = %d after decide, want NIL", ps.L)
 	}
 }
+
+// TestPACSentinelProposalError pins the exact error of a sentinel
+// proposal: the object's name is built only on this path, and the
+// message must not change with that.
+func TestPACSentinelProposalError(t *testing.T) {
+	p := core.NewPAC(3)
+	_, err := p.Step(p.Init(), value.ProposeAt(value.Bottom, 1))
+	want := "3-PAC: PROPOSE_AT(⊥, 1): sentinel values cannot be proposed: operation not in object interface"
+	if err == nil || err.Error() != want {
+		t.Errorf("Step(PROPOSE_AT(⊥, 1)) error = %v, want %q", err, want)
+	}
+}

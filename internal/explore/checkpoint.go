@@ -368,8 +368,7 @@ func (st *search) restore(path string) error {
 	}
 
 	n := g.sys.Procs()
-	sc := keyScratchPool.Get().(*keyScratch)
-	defer keyScratchPool.Put(sc)
+	sc := new(keyScratch)
 	for id := 1; id < numConfigs; id++ {
 		parent := d.Int()
 		s := decodeStep(d)

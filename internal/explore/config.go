@@ -212,21 +212,13 @@ func successors(sys *System, c *Config, i int) ([]*Config, []Step, error) {
 	}
 	configs := make([]*Config, 0, len(ts))
 	steps := make([]Step, 0, len(ts))
+	var slab configSlab
 	for b, t := range ts {
 		ps, err := machine.Resume(sys.Programs[i], c.Procs[i], t.Resp)
 		if err != nil {
 			return nil, nil, err
 		}
-		next := &Config{
-			Procs:       make([]machine.ProcState, len(c.Procs)),
-			Objs:        make([]spec.State, len(c.Objs)),
-			SteppedMask: c.SteppedMask | 1<<uint(i),
-		}
-		copy(next.Procs, c.Procs)
-		copy(next.Objs, c.Objs)
-		next.Procs[i] = ps
-		next.Objs[poise.Obj] = t.Next
-		configs = append(configs, next)
+		configs = append(configs, slab.successor(c, i, poise.Obj, ps, t.Next, len(ts)))
 		steps = append(steps, Step{
 			Proc:   i,
 			Obj:    poise.Obj,
@@ -236,4 +228,38 @@ func successors(sys *System, c *Config, i int) ([]*Config, []Step, error) {
 		})
 	}
 	return configs, steps, nil
+}
+
+// configSlab carves successor Configs out of shared backing arrays.
+// The merge carves every configuration it interns from the graph's
+// slab, so interning allocates nothing of its own. On the disk store a
+// spilled configuration's memory is freed once every configuration
+// carved from the same slab is spilled too, so residency grows by at
+// most one slab (256 configurations).
+type configSlab struct {
+	cfgs  []Config
+	procs []machine.ProcState
+	objs  []spec.State
+}
+
+// successor returns the configuration c reaches when process i steps
+// to ps and object obj moves to next (c itself is unchanged), carved
+// from the slab; a fresh slab holds size configurations.
+func (s *configSlab) successor(c *Config, i, obj int, ps machine.ProcState, next spec.State, size int) *Config {
+	np, no := len(c.Procs), len(c.Objs)
+	if len(s.cfgs) == 0 {
+		s.cfgs = make([]Config, size)
+		s.procs = make([]machine.ProcState, size*np)
+		s.objs = make([]spec.State, size*no)
+	}
+	nc := &s.cfgs[0]
+	s.cfgs = s.cfgs[1:]
+	nc.Procs, s.procs = s.procs[:np:np], s.procs[np:]
+	nc.Objs, s.objs = s.objs[:no:no], s.objs[no:]
+	nc.SteppedMask = c.SteppedMask | 1<<uint(i)
+	copy(nc.Procs, c.Procs)
+	copy(nc.Objs, c.Objs)
+	nc.Procs[i] = ps
+	nc.Objs[obj] = next
+	return nc
 }

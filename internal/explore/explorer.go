@@ -249,10 +249,13 @@ func (r *Report) Solved() bool { return len(r.Violations) == 0 }
 // graph is the explored configuration graph. Configurations are
 // interned by their compact binary key (Config.AppendKey); in-memory
 // map lookups go through string(bytes), which the compiler compiles to
-// a zero-copy probe, so only fresh configurations allocate a key. With
-// a disk store (disk != nil) the ids map and edges lists are unused:
-// keys live in the store's hash table, edge lists in its Edges arena,
-// and expanded configs entries are nil after their level's spill.
+// a zero-copy probe, so only fresh configurations allocate a key.
+// Without symmetry, expansion never builds a successor Config: the
+// merge builds one only for a successor it interns, carved from slab.
+// With a disk store (disk != nil) the ids map and edges lists are
+// unused: keys live in the store's hash table, edge lists in its Edges
+// arena, and expanded configs entries are nil after their level's
+// spill.
 type graph struct {
 	sys     *System
 	tsk     task.Task
@@ -270,6 +273,7 @@ type graph struct {
 	grp     *group     // symmetry group, nil when Options.Symmetry is off
 	canon   []int      // per config: group index g with perms[g]·config canonical
 	disk    *diskState // disk-backed store, nil when Options.Store is off
+	slab    configSlab // backing for successors the merge interns
 }
 
 type edge struct {
@@ -463,6 +467,13 @@ type search struct {
 	// expand+merge wall time (the explore.level_ns histogram).
 	levelHist *obs.Histogram
 
+	// outs holds one reusable shardOut per worker slot; bfs returns
+	// them to shardOutPool before the post-exploration analyses.
+	outs []*shardOut
+	// Successors and fresh-key bytes per configuration at the last
+	// merged level, which size the next level's shard buffers.
+	succsPer, keyBytesPer float64
+
 	// Result channel of the in-flight background snapshot write; nil
 	// when none. See writeCheckpoint/ckptWait.
 	ckptPending chan error
@@ -471,30 +482,71 @@ type search struct {
 // succRec is one successor produced by a worker, in canonical (proc,
 // branch) order within its parent's expansion.
 type succRec struct {
-	cfg      *Config // retained only when the successor was not yet interned
 	step     Step
 	id       int // interned id when >= 0 (already in the global table)
 	off, end int // key bytes in the shard's arena when id < 0
 	gi       int // group index minimizing the key (0 when symmetry off)
+	// A successor not yet interned (id < 0) carries what the merge
+	// needs to build it should it turn out fresh: under symmetry the
+	// whole Config, otherwise just the stepping process's new state and
+	// the touched object's, which the merge applies to the parent.
+	cfg  *Config
+	ps   machine.ProcState
+	next spec.State
 }
 
-// expansion is the full successor set of one expanded configuration.
+// expansion is one expanded configuration; its successors are the
+// shard's succs[lo:hi].
 type expansion struct {
 	quiescent bool
-	succs     []succRec
+	lo, hi    int
 }
 
 // shardOut is one worker's result for a contiguous shard of a BFS
-// level. The shard's key arena keeps candidate keys alive without one
-// allocation per successor.
+// level, plus the worker's key scratch. The shard's key arena keeps
+// candidate keys alive without one allocation per successor. A search
+// keeps one shardOut per worker slot across levels (search.outs), and
+// finished searches return them to shardOutPool, so the arena and the
+// flat successor list grow to the widest level seen once instead of
+// being rebuilt every level and every check.
 type shardOut struct {
 	start    int // first config id of the shard
 	exps     []expansion
+	succs    []succRec
 	arena    []byte
+	sc       keyScratch
 	err      error
 	errAt    int // config id whose expansion failed
 	symHits  int // successors canonicalized to a different key
 	orbitMax int // largest successor orbit in the shard
+}
+
+var shardOutPool = sync.Pool{New: func() any { return new(shardOut) }}
+
+// reset empties out for a shard of n configurations starting at config
+// id start. The previous level's successor records are zeroed first, so
+// no Config or state they pointed to stays reachable. The buffers are
+// kept, or replaced once by larger ones sized from the previous level's
+// per-configuration averages, so a widening level does not copy its
+// buffers through append's repeated 1.25x growth steps.
+func (out *shardOut) reset(start, n int, succsPer, keyBytesPer float64) {
+	clear(out.succs)
+	*out = shardOut{
+		start: start,
+		exps:  reserved(out.exps, n),
+		succs: reserved(out.succs, int(float64(n)*succsPer*9/8)),
+		arena: reserved(out.arena, int(float64(n)*keyBytesPer*9/8)),
+		sc:    out.sc,
+	}
+}
+
+// reserved returns s emptied with room for n elements, reallocating
+// without copying the stale contents when it is too small.
+func reserved[E any](s []E, n int) []E {
+	if cap(s) < n {
+		return make([]E, 0, n)
+	}
+	return s[:0]
 }
 
 // bfs runs the level-synchronized exploration: workers expand disjoint
@@ -507,6 +559,13 @@ type shardOut struct {
 // proceeds identically, which is what makes kill-resume byte-exact.
 func (st *search) bfs() error {
 	g := st.g
+	defer func() {
+		for _, out := range st.outs {
+			out.reset(0, 0, 0, 0)
+			shardOutPool.Put(out)
+		}
+		st.outs = nil
+	}()
 	for levelStart := st.expanded; levelStart < len(g.configs); {
 		if err := st.interrupted(); err != nil {
 			return flushCkpt(st, err)
@@ -636,48 +695,51 @@ func (st *search) expandLevel(levelStart, levelEnd int) []*shardOut {
 	if max := (size + minShardConfigs - 1) / minShardConfigs; shards > max {
 		shards = max
 	}
-	if shards <= 1 {
-		return []*shardOut{st.expandShard(levelStart, levelEnd)}
+	if shards < 1 {
+		shards = 1
+	}
+	for len(st.outs) < shards {
+		st.outs = append(st.outs, shardOutPool.Get().(*shardOut))
+	}
+	outs := st.outs[:shards]
+	if shards == 1 {
+		st.expandShard(outs[0], levelStart, levelEnd)
+		return outs
 	}
 	chunk := (size + shards - 1) / shards
-	outs := make([]*shardOut, shards)
 	var wg sync.WaitGroup
-	for w := 0; w < shards; w++ {
+	for w, out := range outs {
 		start := levelStart + w*chunk
-		end := start + chunk
-		if end > levelEnd {
-			end = levelEnd
-		}
+		end := min(start+chunk, levelEnd)
 		wg.Add(1)
-		go func(w, start, end int) {
+		go func() {
 			defer wg.Done()
-			outs[w] = st.expandShard(start, end)
-		}(w, start, end)
+			st.expandShard(out, start, end)
+		}()
 	}
 	wg.Wait()
 	return outs
 }
 
-// expandShard expands configurations [start, end) against the frozen
-// global table (read-only during a level, so lock-free). Successor keys
-// are built in pooled scratch buffers that persist across shards and
-// levels; already-interned successors cost no allocation at all, fresh
-// ones are copied into the shard arena for the merge. Under symmetry
-// the probed key is the canonical orbit minimum rather than the
-// concrete key; without it the key is spliced from the parent's
-// (see expandShardSpliced).
-func (st *search) expandShard(start, end int) *shardOut {
+// expandShard expands configurations [start, end) into out against the
+// frozen global table (read-only during a level, so lock-free).
+// Successor keys are built in the shard's scratch buffers, which
+// persist across levels; already-interned successors cost no
+// allocation at all, fresh ones are copied into the shard arena for the
+// merge. Under symmetry the probed key is the canonical orbit minimum
+// rather than the concrete key; without it the key is spliced from the
+// parent's (see expandShardSpliced).
+func (st *search) expandShard(out *shardOut, start, end int) {
 	g := st.g
-	out := &shardOut{start: start, exps: make([]expansion, 0, end-start)}
-	sc := keyScratchPool.Get().(*keyScratch)
-	defer keyScratchPool.Put(sc)
+	out.reset(start, end-start, st.succsPer, st.keyBytesPer)
+	sc := &out.sc
 	if g.grp == nil {
 		st.expandShardSpliced(out, sc, start, end)
-		return out
+		return
 	}
 	for at := start; at < end; at++ {
 		c := g.configs[at]
-		exp := expansion{quiescent: c.Quiescent()}
+		exp := expansion{quiescent: c.Quiescent(), lo: len(out.succs)}
 		for i := range c.Procs {
 			if !c.Live(i) {
 				continue
@@ -686,7 +748,7 @@ func (st *search) expandShard(start, end int) *shardOut {
 			if err != nil {
 				out.err = err
 				out.errAt = at
-				return out
+				return
 			}
 			for b, nc := range nexts {
 				rec := succRec{step: steps[b], id: -1}
@@ -707,12 +769,12 @@ func (st *search) expandShard(start, end int) *shardOut {
 					out.arena = append(out.arena, key...)
 					rec.end = len(out.arena)
 				}
-				exp.succs = append(exp.succs, rec)
+				out.succs = append(out.succs, rec)
 			}
 		}
+		exp.hi = len(out.succs)
 		out.exps = append(out.exps, exp)
 	}
-	return out
 }
 
 // expandShardSpliced is expandShard's symmetry-off fast path. A step
@@ -722,10 +784,12 @@ func (st *search) expandShard(start, end int) *shardOut {
 // spliced from the parent's key bytes plus the two re-encoded
 // components, without materializing the successor Config. The parent
 // key is rendered once per configuration with per-component end
-// offsets; only successors the table has never seen (the ones the
-// merge will intern) then build a real Config. Since most successors
-// at a level are duplicates, this keeps the dominant share of
-// expansion work allocation-free in both backends.
+// offsets. A successor the frozen table has never seen records only
+// its new process and object states; the merge builds its Config
+// from the parent if, and only if, it interns it — most such
+// successors are duplicates of one another within the level. This
+// keeps expansion allocation-free apart from the shard's reused
+// buffers, in both backends.
 //
 // The successor enumeration mirrors successors() exactly — same
 // ordering, same error values at the same points — so reports and
@@ -740,7 +804,7 @@ func (st *search) expandShardSpliced(out *shardOut, sc *keyScratch, start, end i
 	ends := sc.ends[:1+np+nobj]
 	for at := start; at < end; at++ {
 		c := g.configs[at]
-		exp := expansion{quiescent: c.Quiescent()}
+		exp := expansion{quiescent: c.Quiescent(), lo: len(out.succs)}
 		// Parent key with component ends: the mask ends at ends[0],
 		// process i at ends[1+i], object j at ends[1+np+j].
 		pkey := sc.parent[:0]
@@ -796,23 +860,15 @@ func (st *search) expandShardSpliced(out *shardOut, sc *keyScratch, start, end i
 				if id, ok := g.lookup(cand); ok {
 					rec.id = id
 				} else {
-					nc := &Config{
-						Procs:       make([]machine.ProcState, len(c.Procs)),
-						Objs:        make([]spec.State, len(c.Objs)),
-						SteppedMask: c.SteppedMask | 1<<uint(i),
-					}
-					copy(nc.Procs, c.Procs)
-					copy(nc.Objs, c.Objs)
-					nc.Procs[i] = ps
-					nc.Objs[jo] = t.Next
-					rec.cfg = nc
+					rec.ps, rec.next = ps, t.Next
 					rec.off = len(out.arena)
 					out.arena = append(out.arena, cand...)
 					rec.end = len(out.arena)
 				}
-				exp.succs = append(exp.succs, rec)
+				out.succs = append(out.succs, rec)
 			}
 		}
+		exp.hi = len(out.succs)
 		out.exps = append(out.exps, exp)
 	}
 }
@@ -838,11 +894,14 @@ func (st *search) mergeLevel(outs []*shardOut) error {
 	}
 	g, rep := st.g, st.rep
 	d := g.disk
+	n, keyBytes := 0, 0
 	for _, out := range outs {
 		st.symHits += out.symHits
 		if out.orbitMax > st.orbitMax {
 			st.orbitMax = out.orbitMax
 		}
+		n += len(out.exps)
+		keyBytes += len(out.arena)
 	}
 	batch := 0
 	for _, out := range outs {
@@ -852,18 +911,24 @@ func (st *search) mergeLevel(outs []*shardOut) error {
 			if exp.quiescent {
 				rep.Quiescent++
 			}
-			batch += len(exp.succs)
+			succs := out.succs[exp.lo:exp.hi]
+			batch += len(succs)
+			// The parent configuration of the currently merging level is
+			// always resident (spilling runs after the merge), so the
+			// cover read and successor construction below are safe in
+			// both backends.
+			parent := g.configs[at]
 			var rec []byte
 			if d != nil {
 				rec = d.edgeRec[:0]
+			} else if g.edges[at] == nil && len(succs) > 0 {
+				g.edges[at] = make([]edge, 0, len(succs))
 			}
 			merged := 0
 			var stop error
-			for _, s := range exp.succs {
-				if st.cover != nil && g.configs[at].Procs[s.step.Proc].PC == st.coverPC {
-					// The parent configuration of the currently merging
-					// level is always resident (spilling runs after the
-					// merge), so this read is safe in both backends.
+			for i := range succs {
+				s := &succs[i]
+				if st.cover != nil && parent.Procs[s.step.Proc].PC == st.coverPC {
 					if s.step.Resp == value.Bottom {
 						st.cover[s.step.Proc].Bottom = true
 					} else {
@@ -876,8 +941,15 @@ func (st *search) mergeLevel(outs []*shardOut) error {
 					if known, ok := g.lookup(key); ok {
 						id = known
 					} else {
+						c := s.cfg
+						if c == nil {
+							// Slabs grow with the graph: small checks carve
+							// little, large ones amortize to ~0 allocations.
+							size := min(256, max(16, len(g.configs)/8))
+							c = g.slab.successor(parent, s.step.Proc, s.step.Obj, s.ps, s.next, size)
+						}
 						var err error
-						if id, err = g.intern(key, s.cfg, at, s.step, s.gi); err != nil {
+						if id, err = g.intern(key, c, at, s.step, s.gi); err != nil {
 							return err
 						}
 						fresh = true
@@ -934,6 +1006,8 @@ func (st *search) mergeLevel(outs []*shardOut) error {
 	if batch > st.batchMax {
 		st.batchMax = batch
 	}
+	st.succsPer = float64(batch) / float64(n)
+	st.keyBytesPer = float64(keyBytes) / float64(n)
 	return nil
 }
 
@@ -1035,9 +1109,13 @@ func (g *graph) pathTo(id int) []Step {
 // configuration and records the first violation (with witness).
 func (g *graph) checkSafety(rep *Report) {
 	var m metaRec
+	// One Outcome serves the whole scan: fillOutcome rewrites every
+	// entry, and no CheckSafety keeps the outcome or its slices.
+	o := task.NewOutcome(g.sys.Inputs)
 	for id := range g.configs {
 		g.metaAt(id, &m)
-		if err := g.tsk.CheckSafety(m.outcome(g.sys.Inputs)); err != nil {
+		m.fillOutcome(&o)
+		if err := g.tsk.CheckSafety(o); err != nil {
 			rep.Violations = append(rep.Violations, &Violation{
 				Kind:    ViolationSafety,
 				Err:     err,

@@ -21,6 +21,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"setagree/internal/checkpoint"
 	"setagree/internal/machine"
 	"setagree/internal/store"
 	"setagree/internal/task"
@@ -68,9 +69,10 @@ func (g *graph) lookup(key []byte) (int, bool) {
 // canonical orbit key when symmetry is on; the stored configuration
 // stays concrete), recording its BFS parent and the group index gi
 // that canonicalizes it, and returns the new id. The caller has
-// already verified the key is absent. In-memory the string conversion
-// here is the single per-state key allocation; on the disk store the
-// key and the outcome metadata record go to the arenas instead.
+// already verified the key is absent and built c (on the symmetry-off
+// path, from the graph's slab). In-memory the string conversion here
+// is the single per-state key allocation; on the disk store the key
+// and the outcome metadata record go to the arenas instead.
 func (g *graph) intern(key []byte, c *Config, parent int, via Step, gi int) (int, error) {
 	id := len(g.configs)
 	if d := g.disk; d != nil {
@@ -151,7 +153,8 @@ type metaRec struct {
 	mask     uint64
 	status   []machine.Status
 	decision []value.Value
-	poised   []int // object index process i is poised on, -1 when none
+	poised   []int  // object index process i is poised on, -1 when none
+	scratch  []byte // copy of a chunk-straddling arena record
 }
 
 // appendMeta encodes c's outcome record: mask uvarint, then per
@@ -193,18 +196,39 @@ func (g *graph) metaAt(id int, m *metaRec) {
 		return
 	}
 	d := g.disk
-	start := d.metaOff[id]
 	end := d.s.Meta.Len()
 	if id+1 < len(d.metaOff) {
 		end = d.metaOff[id+1]
 	}
-	d.s.Meta.FaultSpan(start, end)
-	dec := arenaDec{a: d.s.Meta, off: start}
-	m.mask = dec.uvarint()
+	var buf []byte
+	buf, m.scratch = arenaRecord(d.s.Meta, d.metaOff[id], end, m.scratch)
+	dec := checkpoint.NewDec(buf)
+	m.mask = dec.Uvarint()
 	for i := 0; i < n; i++ {
-		m.status[i] = machine.Status(dec.byte())
-		m.decision[i] = value.Value(dec.varint())
-		m.poised[i] = int(dec.varint())
+		m.status[i] = machine.Status(dec.Byte())
+		m.decision[i] = value.Value(dec.Varint())
+		m.poised[i] = dec.Int()
+	}
+	mustDecode(dec, "meta", id)
+}
+
+// arenaRecord returns the arena bytes [start, end): a zero-copy view
+// when the record lies in one chunk, otherwise a copy in scratch
+// (returned for reuse; nil scratch allocates a private copy).
+func arenaRecord(a *store.Arena, start, end int64, scratch []byte) (rec, buf []byte) {
+	if v, ok := a.View(start, end); ok {
+		return v, scratch
+	}
+	buf = a.AppendRange(scratch[:0], start, end)
+	return buf, buf
+}
+
+// mustDecode panics when an arena record failed to decode. The records
+// are the explorer's own write-once bytes, so a malformed one is memory
+// corruption, never an input error.
+func mustDecode(dec *checkpoint.Dec, what string, id int) {
+	if dec.Err() != nil {
+		panic(fmt.Sprintf("explore: internal: %s record of configuration %d: %v", what, id, dec.Err()))
 	}
 }
 
@@ -221,71 +245,19 @@ func (m *metaRec) quiescent() bool {
 	return true
 }
 
-// outcome projects the record for task predicates — the twin of
-// Config.Outcome.
-func (m *metaRec) outcome(inputs []value.Value) task.Outcome {
-	o := task.NewOutcome(inputs)
+// fillOutcome projects the record onto o for task predicates — the
+// twin of Config.Outcome, writing every per-process entry of an
+// Outcome the caller allocated once (task.NewOutcome) per scan.
+func (m *metaRec) fillOutcome(o *task.Outcome) {
 	for i := range m.status {
-		switch m.status[i] {
-		case machine.StatusDecided:
-			o.Decide(i, m.decision[i])
-		case machine.StatusAborted:
-			o.Aborted[i] = true
+		o.Decided[i] = m.status[i] == machine.StatusDecided
+		o.Decisions[i] = value.None
+		if o.Decided[i] {
+			o.Decisions[i] = m.decision[i]
 		}
+		o.Aborted[i] = m.status[i] == machine.StatusAborted
 		o.Stepped[i] = m.mask&(1<<uint(i)) != 0
 	}
-	return o
-}
-
-// arenaDec decodes store-arena records in place. The records are the
-// explorer's own write-once bytes, so there is no error path: a
-// malformed record indicates memory corruption and panics via the
-// arena's bounds check.
-type arenaDec struct {
-	a   *store.Arena
-	off int64
-}
-
-func (d *arenaDec) byte() byte {
-	b := d.a.Byte(d.off)
-	d.off++
-	return b
-}
-
-func (d *arenaDec) uvarint() uint64 {
-	var x uint64
-	var s uint
-	for {
-		b := d.byte()
-		if b < 0x80 {
-			return x | uint64(b)<<s
-		}
-		x |= uint64(b&0x7f) << s
-		s += 7
-	}
-}
-
-func (d *arenaDec) varint() int64 {
-	ux := d.uvarint()
-	x := int64(ux >> 1)
-	if ux&1 != 0 {
-		x = ^x
-	}
-	return x
-}
-
-// step decodes exactly the bytes appendStep (and the checkpoint
-// encoder's putStep) writes.
-func (d *arenaDec) step() Step {
-	var s Step
-	s.Op.Method = value.Method(d.byte())
-	s.Op.Arg = value.Value(d.varint())
-	s.Op.Label = int(d.varint())
-	s.Resp = value.Value(d.varint())
-	s.Proc = int(d.varint())
-	s.Obj = int(d.varint())
-	s.Branch = int(d.varint())
-	return s
 }
 
 // appendV and appendStep are the append-style twins of the checkpoint
@@ -314,7 +286,8 @@ type edgeIter struct {
 	es  []edge // in-memory mode
 	i   int
 	rem int // remaining records in disk mode; -1 flags in-memory mode
-	dec arenaDec
+	id  int
+	dec checkpoint.Dec
 }
 
 // edgeIter returns an iterator over config id's outgoing edges.
@@ -330,15 +303,17 @@ func (g *graph) edgeIter(id int) edgeIter {
 	if id >= len(d.edgeOff) {
 		return edgeIter{rem: 0}
 	}
-	start := d.edgeOff[id]
 	end := d.s.Edges.Len()
 	if id+1 < len(d.edgeOff) {
 		end = d.edgeOff[id+1]
 	}
-	d.s.Edges.FaultSpan(start, end)
-	dec := arenaDec{a: d.s.Edges, off: start}
-	rem := int(dec.varint())
-	return edgeIter{rem: rem, dec: dec}
+	// Iterators nest (DFS frames), so a straddling record gets a
+	// private copy rather than a shared scratch buffer.
+	rec, _ := arenaRecord(d.s.Edges, d.edgeOff[id], end, nil)
+	it := edgeIter{id: id, dec: *checkpoint.NewDec(rec)}
+	it.rem = it.dec.Int()
+	mustDecode(&it.dec, "edge", id)
+	return it
 }
 
 func (it *edgeIter) next() (edge, bool) {
@@ -355,9 +330,10 @@ func (it *edgeIter) next() (edge, bool) {
 	}
 	it.rem--
 	var e edge
-	e.to = int(it.dec.varint())
-	e.step = it.dec.step()
-	e.g = int(it.dec.varint())
+	e.to = it.dec.Int()
+	e.step = decodeStep(&it.dec)
+	e.g = it.dec.Int()
+	mustDecode(&it.dec, "edge", it.id)
 	return e, true
 }
 

@@ -25,7 +25,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 
 	"setagree/internal/machine"
 	"setagree/internal/spec"
@@ -317,9 +316,9 @@ func (grp *group) checkRootStable(root *Config) error {
 	return nil
 }
 
-// keyScratch is the per-shard reusable key workspace: the running
-// minimum and the current candidate. Pooling it keeps successor
-// canonicalization allocation-free across shards, levels, and runs.
+// keyScratch is a reusable key workspace: the running minimum and the
+// current candidate. Each shardOut embeds one, which keeps successor
+// canonicalization allocation-free across levels and runs.
 type keyScratch struct {
 	best []byte
 	cand []byte
@@ -328,8 +327,6 @@ type keyScratch struct {
 	parent []byte
 	ends   []int
 }
-
-var keyScratchPool = sync.Pool{New: func() any { return new(keyScratch) }}
 
 // canonical renders the canonical (orbit-minimal) key of c into sc and
 // returns it along with the index gi of the first group element

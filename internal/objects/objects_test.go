@@ -523,3 +523,28 @@ func TestClassicBadOps(t *testing.T) {
 		t.Error("queue accepted foreign state")
 	}
 }
+
+// TestSentinelProposalErrors pins the exact error each object returns
+// for a sentinel proposal: the object's name is built only on this
+// path, and the message must not change with that.
+func TestSentinelProposalErrors(t *testing.T) {
+	for _, tc := range []struct {
+		sp   spec.Spec
+		op   value.Op
+		want string
+	}{
+		{objects.NewQueue(), value.Enqueue(value.None),
+			"queue: ENQUEUE(NIL): sentinel values cannot be proposed: operation not in object interface"},
+		{objects.NewConsensus(2), value.Propose(value.Done),
+			"2-consensus: PROPOSE(done): sentinel values cannot be proposed: operation not in object interface"},
+		{objects.NewSetAgreement(3, 2), value.Propose(value.Bottom),
+			"(3,2)-SA: PROPOSE(⊥): sentinel values cannot be proposed: operation not in object interface"},
+		{objects.NewTwoSA(), value.Propose(value.Bottom),
+			"2-SA: PROPOSE(⊥): sentinel values cannot be proposed: operation not in object interface"},
+	} {
+		_, err := tc.sp.Step(tc.sp.Init(), tc.op)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s.Step(%s) error = %v, want %q", tc.sp.Name(), tc.op, err, tc.want)
+		}
+	}
+}

@@ -127,10 +127,12 @@ func BadOpError(specName string, op value.Op, reason string) error {
 
 // CheckProposal validates that an application-supplied proposal value is
 // not one of the reserved sentinels (§3 footnote 4: "processes do not
-// propose the special values ⊥ and NIL").
-func CheckProposal(specName string, op value.Op) error {
+// propose the special values ⊥ and NIL"). The object is asked for its
+// name only when the check fails, so the success path — every PROPOSE
+// the model checker explores — builds no string.
+func CheckProposal[S interface{ Name() string }](s S, op value.Op) error {
 	if op.Arg.IsSentinel() {
-		return BadOpError(specName, op, "sentinel values cannot be proposed")
+		return BadOpError(s.Name(), op, "sentinel values cannot be proposed")
 	}
 	return nil
 }

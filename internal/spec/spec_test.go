@@ -163,15 +163,29 @@ func TestDeterministicDetection(t *testing.T) {
 	}
 }
 
+// namer counts how often CheckProposal asks an object for its name.
+type namer struct{ calls *int }
+
+func (n namer) Name() string { *n.calls++; return "x" }
+
 func TestCheckProposal(t *testing.T) {
 	t.Parallel()
-	if err := spec.CheckProposal("x", value.Propose(3)); err != nil {
+	var calls int
+	obj := namer{&calls}
+	if err := spec.CheckProposal(obj, value.Propose(3)); err != nil {
 		t.Errorf("valid proposal rejected: %v", err)
 	}
+	if calls != 0 {
+		t.Errorf("valid proposal built the object name %d times, want 0", calls)
+	}
 	for _, v := range []value.Value{value.None, value.Bottom, value.Done} {
-		if err := spec.CheckProposal("x", value.Propose(v)); !errors.Is(err, spec.ErrBadOp) {
+		if err := spec.CheckProposal(obj, value.Propose(v)); !errors.Is(err, spec.ErrBadOp) {
 			t.Errorf("sentinel %s accepted", v)
 		}
+	}
+	err := spec.CheckProposal(obj, value.Propose(value.Bottom))
+	if want := "x: PROPOSE(⊥): sentinel values cannot be proposed: operation not in object interface"; err == nil || err.Error() != want {
+		t.Errorf("sentinel proposal error = %v, want %q", err, want)
 	}
 }
 

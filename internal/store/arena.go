@@ -86,11 +86,35 @@ func (a *Arena) addChunk() error {
 	return nil
 }
 
-// Byte returns the byte at off. The offset must be < Len(); the arena
-// is the explorer's own write-once data, so a bad offset is an internal
-// invariant failure and panics via the bounds check.
-func (a *Arena) Byte(off int64) byte {
-	return a.chunks[off>>a.shift][off&a.mask]
+// View returns the bytes [start, end) as a zero-copy slice of the
+// chunk holding them. When the range straddles a chunk boundary it
+// counts a store.arena_faults fault and returns ok == false; read the
+// range with AppendRange instead. The range must lie below Len(); the
+// arena is the explorer's own write-once data, so a bad range is an
+// internal invariant failure and panics via the bounds check.
+func (a *Arena) View(start, end int64) ([]byte, bool) {
+	if end > start && start>>a.shift != (end-1)>>a.shift {
+		a.faults.Inc()
+		return nil, false
+	}
+	co := start & a.mask
+	return a.chunks[start>>a.shift][co : co+end-start], true
+}
+
+// AppendRange appends the bytes [start, end) to dst, copying across
+// chunk boundaries, and returns the extended slice.
+func (a *Arena) AppendRange(dst []byte, start, end int64) []byte {
+	for start < end {
+		c := a.chunks[start>>a.shift]
+		co := start & a.mask
+		n := int64(len(c)) - co
+		if start+n > end {
+			n = end - start
+		}
+		dst = append(dst, c[co:co+n]...)
+		start += n
+	}
+	return dst
 }
 
 // Equal reports whether the bytes at [off, off+len(key)) equal key,
@@ -111,15 +135,6 @@ func (a *Arena) Equal(off int64, key []byte) bool {
 		off += n
 	}
 	return true
-}
-
-// FaultSpan counts a chunk-boundary fault when the record at
-// [start, end) straddles one. Callers decoding records byte-wise report
-// the span once per record instead of per byte.
-func (a *Arena) FaultSpan(start, end int64) {
-	if end > start && start>>a.shift != (end-1)>>a.shift {
-		a.faults.Inc()
-	}
 }
 
 // Sections returns chunk-backed views covering [0, upTo), suitable for

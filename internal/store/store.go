@@ -19,6 +19,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -132,6 +133,10 @@ type Store struct {
 	Meta  *Arena
 	Edges *Arena
 
+	// seed keys the table's hash. It is random per store: ids are
+	// insertion ordinals and Lookup compares whole keys, so nothing the
+	// store returns depends on it.
+	seed    maphash.Seed
 	shards  [numShards]shard
 	count   int
 	heapMax *obs.Gauge
@@ -167,6 +172,7 @@ func Open(opts Options, sink *obs.Sink) (*Store, error) {
 	s := &Store{
 		dir:     opts.Dir,
 		budget:  opts.Budget,
+		seed:    maphash.MakeSeed(),
 		heapMax: sink.Gauge("store.heap_bytes_max"),
 	}
 	for _, a := range []struct {
@@ -201,7 +207,7 @@ func (s *Store) Count() int { return s.count }
 // Lookup probes the table for key. Safe for concurrent use while no
 // Intern is running (the explorer's expand phase).
 func (s *Store) Lookup(key []byte) (int, bool) {
-	h := hash64(key)
+	h := maphash.Bytes(s.seed, key)
 	sh := &s.shards[h&(numShards-1)]
 	if len(sh.slots) == 0 {
 		return 0, false
@@ -232,7 +238,7 @@ func (s *Store) Intern(key []byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	h := hash64(key)
+	h := maphash.Bytes(s.seed, key)
 	sh := &s.shards[h&(numShards-1)]
 	if 4*(sh.n+1) > 3*len(sh.slots) {
 		sh.grow()
@@ -266,16 +272,6 @@ func (sh *shard) grow() {
 			sh.insert(sl)
 		}
 	}
-}
-
-// hash64 is FNV-1a over the key bytes.
-func hash64(b []byte) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 0x00000100000001b3
-	}
-	return h
 }
 
 // CheckBudget enforces Options.Budget against the current live heap: if

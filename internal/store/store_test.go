@@ -54,8 +54,8 @@ func TestParseBudgetRejects(t *testing.T) {
 }
 
 // TestArenaStraddle exercises records crossing chunk boundaries with a
-// minimum-size chunk: appends, byte reads, chunked compares, and the
-// fault counter.
+// minimum-size chunk: appends, zero-copy views, range copies, chunked
+// compares, and the fault counter.
 func TestArenaStraddle(t *testing.T) {
 	sink := obs.NewSink()
 	s, err := Open(Options{Dir: t.TempDir(), ChunkBytes: 1}, sink)
@@ -85,10 +85,27 @@ func TestArenaStraddle(t *testing.T) {
 	if s.Keys.Len() != int64(len(want)) {
 		t.Fatalf("Len() = %d, want %d", s.Keys.Len(), len(want))
 	}
-	for i, b := range want {
-		if got := s.Keys.Byte(int64(i)); got != b {
-			t.Fatalf("Byte(%d) = %d, want %d", i, got, b)
+	views, straddles := 0, 0
+	for start := int64(0); start < s.Keys.Len(); start += 90 {
+		end := min(start+200, s.Keys.Len())
+		got := s.Keys.AppendRange([]byte("prefix"), start, end)
+		if !bytes.Equal(got[6:], want[start:end]) || string(got[:6]) != "prefix" {
+			t.Fatalf("AppendRange(%d, %d) disagrees with the appended bytes", start, end)
 		}
+		if v, ok := s.Keys.View(start, end); ok {
+			views++
+			if !bytes.Equal(v, want[start:end]) {
+				t.Fatalf("View(%d, %d) disagrees with the appended bytes", start, end)
+			}
+		} else {
+			straddles++
+			if start>>s.Keys.shift == (end-1)>>s.Keys.shift {
+				t.Fatalf("View(%d, %d) refused a single-chunk range", start, end)
+			}
+		}
+	}
+	if views == 0 || straddles == 0 {
+		t.Fatalf("views %d, straddles %d: both paths must be exercised", views, straddles)
 	}
 	if !s.Keys.Equal(0, want) {
 		t.Fatal("Equal over the whole straddled arena = false")
@@ -148,6 +165,51 @@ func TestTableInternLookupGrow(t *testing.T) {
 	}
 	if _, err := s.Intern(nil); err == nil {
 		t.Fatal("Intern of empty key succeeded")
+	}
+}
+
+// TestInternDeterministicAcrossSeeds pins that nothing the store
+// returns depends on its hash: two stores, each with its own random
+// seed, intern the same key sequence — long keys that differ only in
+// their last byte among them — to identical ids and agree on every
+// Lookup, present and absent.
+func TestInternDeterministicAcrossSeeds(t *testing.T) {
+	var keys [][]byte
+	for i := 0; i < 3000; i++ {
+		k := bytes.Repeat([]byte{byte(i >> 8), byte(i)}, 40+i%7)
+		keys = append(keys, k, append(bytes.Clone(k), 0), append(bytes.Clone(k), 1))
+	}
+	var stores [2]*Store
+	for si := range stores {
+		s, err := Open(Options{Dir: t.TempDir()}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		for i, k := range keys {
+			id, err := s.Intern(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if id != i {
+				t.Fatalf("store %d: key %d interned as id %d", si, i, id)
+			}
+		}
+		stores[si] = s
+	}
+	for i, k := range keys {
+		a, aok := stores[0].Lookup(k)
+		b, bok := stores[1].Lookup(k)
+		if !aok || !bok || a != i || b != i {
+			t.Fatalf("Lookup(key %d) = %d,%v and %d,%v; want %d in both", i, a, aok, b, bok, i)
+		}
+		absent := append(bytes.Clone(k), 2)
+		if _, ok := stores[0].Lookup(absent); ok {
+			t.Fatalf("store 0 found absent key %d", i)
+		}
+		if _, ok := stores[1].Lookup(absent); ok {
+			t.Fatalf("store 1 found absent key %d", i)
+		}
 	}
 }
 

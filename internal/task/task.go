@@ -71,6 +71,8 @@ type Task interface {
 	Procs() int
 	// CheckSafety returns a wrapped ErrViolation if the (possibly
 	// partial) outcome already violates the task's safety properties.
+	// It must not retain o or its slices: the model checker refills one
+	// Outcome for every configuration it scans.
 	CheckSafety(o Outcome) error
 	// Liveness describes the termination obligations.
 	Liveness() Liveness
