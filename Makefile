@@ -1,17 +1,17 @@
 # Verification targets. `make verify` is the full gate every change
-# must pass: gofmt + vet + build + tests + the race detector on the
-# packages that run goroutines (the parallel sweep engine in enumerate,
-# the parallel-BFS explorer it drives — whose multi-worker determinism
-# tests run under -race here — the lincheck fuzzer, the obs metrics
-# layer they all feed, and the cluster coordinator, whose
-# memoized-vs-unmemoized byte-equivalence suite exercises the shared
-# memo table across concurrent shard workers).
+# must pass: gofmt + vet + build + tests + a short fuzz run + the race
+# detector on the packages that run goroutines (the parallel sweep
+# engine in enumerate, the parallel-BFS explorer it drives — whose
+# multi-worker determinism tests run under -race here — the lincheck
+# fuzzer, the obs metrics layer they all feed, and the cluster
+# coordinator, whose memoized-vs-unmemoized byte-equivalence suite
+# exercises the shared memo table across concurrent shard workers).
 
 GO ?= go
 
-.PHONY: verify fmt vet build test race bench bench-json bench-gate bench-schema loadtest experiments
+.PHONY: verify fmt vet build test fuzz race bench bench-json bench-gate bench-schema loadtest experiments
 
-verify: fmt vet build test race bench-gate bench-schema
+verify: fmt vet build test fuzz race bench-gate bench-schema
 
 fmt:
 	@unformatted=$$(gofmt -l .); \
@@ -27,6 +27,13 @@ build:
 
 test:
 	$(GO) test ./...
+
+# fuzz runs each native fuzz target for a few seconds beyond its seed
+# corpus: today FuzzParseBudget, which holds the -store budget parser
+# (also dacd's store_budget and journal bound) to never panicking and
+# never accepting a negative, i.e. unbounded, budget.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzParseBudget$$' -fuzztime 5s ./internal/store
 
 # The two pinned-worker runs re-execute the symmetry soundness suite
 # (reduced-vs-unreduced verdict equality + witness replay) under the

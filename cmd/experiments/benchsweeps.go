@@ -31,7 +31,6 @@ type sweepBenchRun struct {
 	States           int     `json:"states"`
 	MemoHits         int64   `json:"memo_hits"`
 	DedupCandidates  int64   `json:"dedup_candidates"`
-	ForkStatesSaved  int64   `json:"fork_states_saved"`
 }
 
 // sweepBench compares the memoized and unmemoized engines on one sweep.
@@ -91,7 +90,6 @@ func benchOneSweep(id string, fn func(opts enumerate.SweepOptions) (*enumerate.R
 				States:           rep.States,
 				MemoHits:         snap.Counters["sweep.memo_hits"],
 				DedupCandidates:  snap.Counters["sweep.dedup_candidates"],
-				ForkStatesSaved:  snap.Counters["sweep.fork_states_saved"],
 			}
 			if bestRep == nil || r.ElapsedNs < best.ElapsedNs {
 				best, bestRep = r, rep

@@ -162,10 +162,11 @@ func (o Options) shardCount(candidates int) int {
 
 // shardBounds splits [0, candidates) into n near-equal ranges with
 // interior boundaries rounded to multiples of rowWidth, so the
-// candidates sharing a leading shape (one prefix-trie row) land in one
-// shard and the memoizer reuses its snapshots instead of rebuilding
-// them across the cut. Alignment is an efficiency hint only — verdicts
-// are range-independent, so any partition merges identically.
+// candidates sharing a leading shape (one row) land in one shard and
+// the memo entries they record and probe stay in one worker's table
+// instead of being re-derived across the cut. Alignment is an
+// efficiency hint only — verdicts are range-independent, so any
+// partition merges identically.
 func shardBounds(candidates, n, rowWidth int) [][2]int {
 	if rowWidth < 1 {
 		rowWidth = 1

@@ -49,8 +49,8 @@ type SweepSpec struct {
 	SoloSteps int `json:"solo_steps,omitempty"`
 	// Symmetry is the reduction mode: "" or "off", "ids", "values".
 	Symmetry string `json:"symmetry,omitempty"`
-	// Memo toggles cross-candidate memoization (prefix-trie scheduling,
-	// forked explorers, canonical-program dedup). Nil or true leaves it
+	// Memo toggles cross-candidate memoization (canonical-program dedup
+	// through the sweep's memo table). Nil or true leaves it
 	// on — memoized and unmemoized shards produce byte-identical
 	// reports, so this is an ablation/benchmarking knob, not a
 	// correctness one. False disables it.

@@ -57,7 +57,7 @@ func (s OPrimeState) Key() string {
 	return b.String()
 }
 
-// AppendKey implements spec.AppendKeyer (canonical: components in
+// AppendKey implements spec.State (canonical: components in
 // ascending k).
 func (s OPrimeState) AppendKey(dst []byte) []byte {
 	ks := make([]int, 0, len(s.Components))
@@ -68,13 +68,12 @@ func (s OPrimeState) AppendKey(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(ks)))
 	for _, k := range ks {
 		dst = binary.AppendUvarint(dst, uint64(k))
-		dst = spec.AppendStateKey(dst, s.Components[k])
+		dst = s.Components[k].AppendKey(dst)
 	}
 	return dst
 }
 
 var _ spec.State = OPrimeState{}
-var _ spec.AppendKeyer = OPrimeState{}
 
 // OPrime is the object O'_n of §6: it "embodies" a set agreement power
 // (n_1, n_2, ..., n_k, ...) by combining the collection

@@ -71,10 +71,10 @@ func (s OPrimeBaseState) Key() string {
 	return b.String()
 }
 
-// AppendKey implements spec.AppendKeyer (canonical: 2-SA components in
+// AppendKey implements spec.State (canonical: 2-SA components in
 // ascending k).
 func (s OPrimeBaseState) AppendKey(dst []byte) []byte {
-	dst = spec.AppendStateKey(dst, s.Consensus)
+	dst = s.Consensus.AppendKey(dst)
 	ks := make([]int, 0, len(s.TwoSA))
 	for k := range s.TwoSA {
 		ks = append(ks, k)
@@ -83,13 +83,12 @@ func (s OPrimeBaseState) AppendKey(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(ks)))
 	for _, k := range ks {
 		dst = binary.AppendUvarint(dst, uint64(k))
-		dst = spec.AppendStateKey(dst, s.TwoSA[k])
+		dst = s.TwoSA[k].AppendKey(dst)
 	}
 	return dst
 }
 
 var _ spec.State = OPrimeBaseState{}
-var _ spec.AppendKeyer = OPrimeBaseState{}
 
 // Init implements spec.Spec.
 func (o OPrimeFromBase) Init() spec.State {

@@ -52,7 +52,7 @@ func (s PACState) Key() string {
 	return b.String()
 }
 
-// AppendKey implements spec.AppendKeyer.
+// AppendKey implements spec.State.
 func (s PACState) AppendKey(dst []byte) []byte {
 	upset := byte(0)
 	if s.Upset {
@@ -69,7 +69,6 @@ func (s PACState) AppendKey(dst []byte) []byte {
 }
 
 var _ spec.State = PACState{}
-var _ spec.AppendKeyer = PACState{}
 
 func (s PACState) clone() PACState {
 	v := make([]value.Value, len(s.V))

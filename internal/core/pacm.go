@@ -22,15 +22,14 @@ func (s PACMState) Key() string {
 	return s.P.Key() + "|" + s.C.Key()
 }
 
-// AppendKey implements spec.AppendKeyer: the concatenation of the two
+// AppendKey implements spec.State: the concatenation of the two
 // component encodings (each is self-delimiting).
 func (s PACMState) AppendKey(dst []byte) []byte {
-	dst = spec.AppendStateKey(dst, s.P)
-	return spec.AppendStateKey(dst, s.C)
+	dst = s.P.AppendKey(dst)
+	return s.C.AppendKey(dst)
 }
 
 var _ spec.State = PACMState{}
-var _ spec.AppendKeyer = PACMState{}
 
 // PACM is the "boosted" (n,m)-PAC object of §5: a combination of an
 // n-PAC object P and an m-consensus object C. It supports

@@ -30,14 +30,14 @@ type SweepOptions struct {
 	// DisableSoloFilter skips the cheap solo prefilter and model-checks
 	// every shape (the ablation knob: measures what the prefilter buys).
 	DisableSoloFilter bool
-	// DisableMemo turns off cross-candidate memoization and prefix
-	// forking (see memo.go), model-checking every candidate from
-	// scratch. Reports are byte-identical either way — memoization
-	// changes how verdicts are computed, never what they are — so this
-	// is the equivalence-testing and benchmarking knob, not a
-	// correctness one. Memoization is also bypassed transparently for
-	// candidates outside the memoizer's soundness envelope and under
-	// SymmetryValues reduction.
+	// DisableMemo turns off cross-candidate memoization (see memo.go),
+	// model-checking every candidate from scratch. Reports are
+	// byte-identical either way — memoization changes how verdicts are
+	// computed, never what they are — so this is the
+	// equivalence-testing and benchmarking knob, not a correctness one.
+	// Memoization is also bypassed transparently for candidates outside
+	// the memoizer's soundness envelope and under SymmetryValues
+	// reduction.
 	DisableMemo bool
 	// Workers is the number of goroutines model-checking candidates
 	// (default runtime.GOMAXPROCS(0)). The Report is identical for every
@@ -71,10 +71,9 @@ type SweepOptions struct {
 	//
 	// With memoization on, the verdict counters and sweep.states stay
 	// schedule-independent, but sweep.memo_hits, sweep.dedup_candidates,
-	// sweep.fork_states_saved, the sweep.candidate timer, and the
-	// explore.* counters depend on which canonical-equal candidate a
-	// worker reached first; set DisableMemo for fully deterministic
-	// snapshots.
+	// the sweep.candidate timer, and the explore.* counters depend on
+	// which canonical-equal candidate a worker reached first; set
+	// DisableMemo for fully deterministic snapshots.
 	Obs *obs.Sink
 	// Events, when set, receives one sweep.candidate JSONL event per
 	// checked candidate (index, outcome, states, elapsed_ns; emitted in
@@ -240,14 +239,12 @@ type outcome struct {
 type memoStats struct {
 	memoHits        int64
 	dedupCandidates int64
-	forkStatesSaved int64
 }
 
 func (rs *runState) memoStats() memoStats {
 	return memoStats{
 		memoHits:        rs.stats.memoHits.Load(),
 		dedupCandidates: rs.stats.dedupCandidates.Load(),
-		forkStatesSaved: rs.stats.forkStatesSaved.Load(),
 	}
 }
 
@@ -298,7 +295,6 @@ func sweep(rep *Report, p *Prepared, inputVectors [][]value.Value, opts SweepOpt
 			"symmetry_fallbacks": rep.SymmetryFallbacks,
 			"memo_hits":          stats.memoHits,
 			"dedup_candidates":   stats.dedupCandidates,
-			"fork_states_saved":  stats.forkStatesSaved,
 		})
 	}
 	return nil
@@ -311,10 +307,9 @@ func terminalError(opts SweepOptions, stats memoStats, err error) error {
 	opts.Obs.Counter("sweep.errors").Inc()
 	if opts.Events != nil {
 		opts.Events.Emit("sweep.error", obs.Fields{
-			"error":             err.Error(),
-			"memo_hits":         stats.memoHits,
-			"dedup_candidates":  stats.dedupCandidates,
-			"fork_states_saved": stats.forkStatesSaved,
+			"error":            err.Error(),
+			"memo_hits":        stats.memoHits,
+			"dedup_candidates": stats.dedupCandidates,
 		})
 	}
 	return err
@@ -323,16 +318,15 @@ func terminalError(opts SweepOptions, stats memoStats, err error) error {
 // runCandidates is the worker-pool core shared by full sweeps and
 // shard checks: it fans candidates [lo, hi) out to opts.Workers
 // goroutines and returns the per-candidate outcomes indexed by
-// position. Workers claim candidates in the runState's order — prefix-
-// grouped when the trie engine is on — but outcomes always land at
-// their candidate's position, so folding is order-blind. Metric
-// handles resolve once per call; a nil Obs hands out nil (no-op)
-// handles, so the uninstrumented path pays nothing. Per-candidate
-// sweep.candidate events carry lo+i, so a shard's events use global
-// candidate indices. On a hard error or cancellation it emits one
-// sweep.error terminal event and returns the lowest-indexed error (the
-// terminal-event contract matches explore's: callers that finish
-// normally emit the single sweep.done themselves).
+// position. Workers claim candidates in index order, and outcomes land
+// at their candidate's position whatever order they finish in, so
+// folding is schedule-blind. Metric handles resolve once per call; a
+// nil Obs hands out nil (no-op) handles, so the uninstrumented path
+// pays nothing. Per-candidate sweep.candidate events carry lo+i, so a
+// shard's events use global candidate indices. On a hard error or
+// cancellation it emits one sweep.error terminal event and returns the
+// lowest-indexed error (the terminal-event contract matches explore's:
+// callers that finish normally emit the single sweep.done themselves).
 func runCandidates(p *Prepared, lo, hi int, inputVectors [][]value.Value, opts SweepOptions,
 ) ([]outcome, memoStats, error) {
 	rs := newRunState(p, lo, hi, inputVectors, opts)
@@ -367,14 +361,13 @@ func runCandidates(p *Prepared, lo, hi int, inputVectors [][]value.Value, opts S
 		go func() {
 			defer wg.Done()
 			for {
-				k := int(next.Add(1))
-				if k >= len(cands) || failed.Load() {
+				i := int(next.Add(1))
+				if i >= len(cands) || failed.Load() {
 					return
 				}
 				if ctx := opts.Ctx; ctx != nil && ctx.Err() != nil {
 					return
 				}
-				i := rs.order[k]
 				var begin time.Time
 				if timed {
 					begin = time.Now()

@@ -50,6 +50,7 @@ import (
 
 	"setagree/internal/explore"
 	"setagree/internal/machine"
+	"setagree/internal/obs"
 	"setagree/internal/spec"
 	"setagree/internal/task"
 	"setagree/internal/value"
@@ -113,6 +114,88 @@ func (t *memoTable) put(k string, mask uint8, e memoEntry) {
 	t.mu.Unlock()
 }
 
+// runStats aggregates the memoization counters of one runCandidates
+// call for the terminal sweep event.
+type runStats struct {
+	memoHits        atomic.Int64
+	dedupCandidates atomic.Int64
+}
+
+// runState is the per-runCandidates sweep engine: the claimed slice of
+// candidates, the memo eligibility of each, and the resolved metric
+// handles. It is shared by the worker goroutines; everything mutable
+// is atomic or lives in the lock-protected memo table.
+type runState struct {
+	p       *Prepared
+	cands   []candidate
+	vectors [][]value.Value
+	opts    SweepOptions
+
+	// useMemo gates the memo layer: memoization is on, the sweep is not
+	// value-symmetry-reduced (whose quotient interacts with the 0↔1
+	// canonical swap), and the family has the guarded layout the key
+	// schema assumes.
+	useMemo bool
+
+	// parts caches each distinct role program's key serializations
+	// (identity and 0↔1-swapped) and its swap/id-safety verdicts.
+	// Programs are shared across many candidates, so this is built once
+	// up front and read-only after.
+	parts map[*machine.Program]progMeta
+	// memoOK precomputes memoizable() per candidate, so the per-claim
+	// dispatch is an index instead of a layout walk. Nil unless useMemo.
+	memoOK []bool
+
+	stats runStats
+
+	// Memo metric handles resolve only when useMemo, so unmemoized
+	// sweeps never register memo counters in the sink.
+	memoCounter  *obs.Counter
+	dedupCounter *obs.Counter
+}
+
+func newRunState(p *Prepared, lo, hi int, vectors [][]value.Value, opts SweepOptions) *runState {
+	rs := &runState{p: p, cands: p.cands[lo:hi], vectors: vectors, opts: opts}
+	rs.useMemo = !opts.DisableMemo && p.memo != nil && p.depth >= 1 &&
+		opts.Symmetry != explore.SymmetryValues
+	if !rs.useMemo {
+		return rs
+	}
+	rs.memoCounter = opts.Obs.Counter("sweep.memo_hits")
+	rs.dedupCounter = opts.Obs.Counter("sweep.dedup_candidates")
+	rs.parts = make(map[*machine.Program]progMeta)
+	rs.memoOK = make([]bool, len(rs.cands))
+	for i, c := range rs.cands {
+		if !rs.memoizable(c) {
+			continue
+		}
+		rs.memoOK[i] = true
+		for _, p := range rs.rolesOf(c) {
+			if _, ok := rs.parts[p]; !ok {
+				rs.parts[p] = progMeta{
+					parts: [2]progParts{
+						buildProgParts(p, rs.p.depth, false),
+						buildProgParts(p, rs.p.depth, true),
+					},
+					sigmaSafe: programSigmaSafe(p),
+					idFree:    programIDFree(p),
+				}
+			}
+		}
+	}
+	return rs
+}
+
+// check dispatches one candidate: the memoized engine when it applies,
+// the plain per-candidate checker otherwise. Both produce identical
+// verdicts, states, and error wrapping.
+func (rs *runState) check(ci int) outcome {
+	if !rs.useMemo || !rs.memoOK[ci] {
+		return checkCandidate(rs.cands[ci], rs.p.objs, rs.p.tsk, rs.vectors, rs.opts)
+	}
+	return rs.checkMemo(ci)
+}
+
 // sigmaPerm is the 0↔1 value swap as a spec permutation (identity on
 // processes and every other value).
 var sigmaPerm = spec.MakePerm(nil, map[value.Value]value.Value{0: 1, 1: 0})
@@ -132,7 +215,7 @@ func sigmaEligible(objs []spec.Spec, tsk task.Task) bool {
 		}
 		init := o.Init()
 		under, ok := spec.AppendStateKeyUnder(nil, init, sigmaPerm)
-		if !ok || !bytes.Equal(under, spec.AppendStateKey(nil, init)) {
+		if !ok || !bytes.Equal(under, init.AppendKey(nil)) {
 			return false
 		}
 	}
@@ -543,18 +626,15 @@ func (rs *runState) checkMemo(ci int) outcome {
 		fullHit = true
 		// sysBuf backs the lazily built per-vector System: a memo hit
 		// settles a vector without ever touching a concrete system, so
-		// none is built until a probe or exploration needs one. Reuse is
-		// safe only when no prefix snapshot can retain the pointer
-		// (SnapshotPrefix keeps its builder's System), i.e. at depth 1.
+		// none is built until a probe or exploration needs one. Nothing
+		// retains the System past its vector's check, so one buffer
+		// serves every vector.
 		sysBuf explore.System
 	)
 	defer keyer.release()
-	for vi, in := range rs.vectors {
+	for _, in := range rs.vectors {
 		var sys *explore.System
 		mkSys := func() *explore.System {
-			if rs.p.depth >= 2 {
-				return &explore.System{Programs: c.progs, Objects: rs.p.objs, Inputs: in}
-			}
 			sysBuf = explore.System{Programs: c.progs, Objects: rs.p.objs, Inputs: in}
 			return &sysBuf
 		}
@@ -604,7 +684,7 @@ func (rs *runState) checkMemo(ci int) outcome {
 		if sys == nil {
 			sys = mkSys()
 		}
-		r, err := rs.explore(ci, vi, sys, effMode)
+		r, err := rs.explore(sys, effMode)
 		if effMode != explore.SymmetryOff &&
 			(errors.Is(err, explore.ErrNotSymmetric) || errors.Is(err, explore.ErrSymmetryUnsupported)) {
 			// Defensive mirror of checkCandidate's fallback. ProbeSymmetry
@@ -613,7 +693,7 @@ func (rs *runState) checkMemo(ci int) outcome {
 			mode, effMode = explore.SymmetryOff, explore.SymmetryOff
 			out.symFallback = true
 			probeOK = false
-			r, err = rs.explore(ci, vi, sys, effMode)
+			r, err = rs.explore(sys, effMode)
 		}
 		switch {
 		case errors.Is(err, explore.ErrStateLimit):
@@ -652,6 +732,19 @@ func (rs *runState) checkMemo(ci int) outcome {
 	out.solver = out.inconclusive == nil
 	out.fullHit = fullHit && len(rs.vectors) > 0
 	return out
+}
+
+// explore runs one concrete model check, recording which guarded
+// branches each process took so insert can mask the dead action slots.
+func (rs *runState) explore(sys *explore.System, effMode explore.Symmetry) (*explore.Report, error) {
+	return explore.Check(sys, rs.p.tsk, explore.Options{
+		MaxStates:      rs.opts.MaxStatesPerCandidate,
+		Symmetry:       effMode,
+		Obs:            rs.opts.Obs,
+		HeartbeatEvery: -1,
+		Ctx:            rs.opts.Ctx,
+		Cover:          &explore.CoverRequest{GuardPC: rs.p.depth - 1},
+	})
 }
 
 // materializeViolation re-checks a memo-served refutation concretely to

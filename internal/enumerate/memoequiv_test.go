@@ -30,6 +30,20 @@ func thm71Family() *enumerate.Family {
 	}
 }
 
+// thm42Depth2Family is the depth-2 DAC family over Theorem 4.2's
+// objects with the two-entry menu {obj0.propose(input), obj1.read} —
+// 2,900 candidates, small enough to sweep memo-off in well under a
+// second, and deep enough that every program shares a one-invocation
+// prefix with its siblings.
+func thm42Depth2Family() *enumerate.Family {
+	f := theorem42Family(2)
+	f.Menu = []enumerate.Invoke{
+		{Obj: 0, Method: value.MethodPropose, Arg: enumerate.ArgInput},
+		{Obj: 1, Method: value.MethodRead},
+	}
+	return f
+}
+
 // renderFull extends renderReport with the fallback counter, so the
 // memo-equivalence comparison also pins SymmetryFallbacks (the memo
 // path re-derives the mode evolution per vector via ProbeSymmetry;
@@ -39,7 +53,8 @@ func renderFull(rep *enumerate.Report) string {
 }
 
 // TestMemoByteEquivalence pins the memoizer's core transparency
-// promise at the engine level: for both reference sweeps, at worker
+// promise at the engine level: for both reference sweeps and a depth-2
+// DAC family, at worker
 // counts 1 and 4 and with symmetry reduction off and at ids, the
 // memoized sweep renders a report byte-identical to the unmemoized
 // one — same aggregates, same solver and inconclusive sets, and the
@@ -58,6 +73,9 @@ func TestMemoByteEquivalence(t *testing.T) {
 		}},
 		{"thm71", func(opts enumerate.SweepOptions) (*enumerate.Report, error) {
 			return enumerate.FalsifyDAC(thm71Family(), 3, vectors, opts)
+		}},
+		{"thm42d2", func(opts enumerate.SweepOptions) (*enumerate.Report, error) {
+			return enumerate.FalsifyDAC(thm42Depth2Family(), 3, vectors, opts)
 		}},
 	}
 	for _, sw := range sweeps {

@@ -34,7 +34,7 @@ type Prepared struct {
 	// rowWidth is the number of consecutive candidates sharing each
 	// leading (distinguished-role) shape: the q-shape count for DAC
 	// sweeps, 1 for symmetric ones. Shard ranges aligned to rowWidth
-	// keep prefix groups intact, maximizing snapshot reuse per shard.
+	// keep each row in one shard, and so in one worker's memo table.
 	rowWidth int
 	// sigmaOK marks the family's objects and task eligible for the 0↔1
 	// canonical swap; peerOK marks the task eligible for peer input-
@@ -156,9 +156,10 @@ func (p *Prepared) Pruned() int { return p.pruned }
 
 // RowWidth is the number of consecutive candidates sharing each leading
 // shape (the q-shape count of a DAC sweep, 1 for symmetric sweeps).
-// Shard boundaries aligned to multiples of RowWidth keep prefix groups
-// whole, which maximizes cross-candidate reuse within each shard;
-// alignment is an efficiency hint only — verdicts are range-independent.
+// Shard boundaries aligned to multiples of RowWidth keep each row in
+// one shard, so the memo entries a row records and probes stay in one
+// worker's table; alignment is an efficiency hint only — verdicts are
+// range-independent.
 func (p *Prepared) RowWidth() int { return p.rowWidth }
 
 // Assignment returns candidate i's protocol assignment.
@@ -291,7 +292,6 @@ func (p *Prepared) CheckRange(lo, hi int, inputVectors [][]value.Value, opts Swe
 			"symmetry_fallbacks": rr.SymmetryFallbacks,
 			"memo_hits":          stats.memoHits,
 			"dedup_candidates":   stats.dedupCandidates,
-			"fork_states_saved":  stats.forkStatesSaved,
 		})
 	}
 	return rr, nil

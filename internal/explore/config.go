@@ -82,7 +82,7 @@ func (c *Config) AppendKey(dst []byte) []byte {
 		dst = p.AppendKey(dst)
 	}
 	for _, o := range c.Objs {
-		dst = spec.AppendStateKey(dst, o)
+		dst = o.AppendKey(dst)
 	}
 	return dst
 }

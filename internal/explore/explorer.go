@@ -261,11 +261,6 @@ type graph struct {
 	tsk     task.Task
 	configs []*Config
 	ids     map[string]int
-	// baseIDs, on a forked graph (see fork.go), is the parent
-	// snapshot's frozen interning table; lookups fall through to it and
-	// fresh interns land in ids, so the parent table is shared
-	// copy-on-write between any number of concurrent forks.
-	baseIDs map[string]int
 	edges   [][]edge   // adjacency: edges[from] (in-memory mode)
 	parent  []int      // BFS tree: parent config id (-1 for root)
 	parentE []Step     // BFS tree: step from parent
@@ -447,7 +442,6 @@ type search struct {
 	orbitMax    int // largest successor orbit seen
 	batchMax    int // most successors merged at one level barrier
 	level       int // completed BFS levels
-	stopLevels  int // when > 0, bfs stops after this many levels (snapshot prefixes)
 	coverPC     int // guard PC when cover != nil
 	cover       []BranchCover
 	fp          uint64 // memoized system fingerprint (see fingerprint)
@@ -607,11 +601,6 @@ func (st *search) bfs() error {
 			if err := d.s.CheckBudget(); err != nil {
 				return flushCkpt(st, err)
 			}
-		}
-		if st.stopLevels > 0 && st.level >= st.stopLevels {
-			// Snapshot-prefix mode (see fork.go): leave the frontier
-			// unexpanded at this barrier; forks resume from exactly here.
-			return nil
 		}
 		levelStart = levelEnd
 	}
@@ -815,7 +804,7 @@ func (st *search) expandShardSpliced(out *shardOut, sc *keyScratch, start, end i
 			ends[1+i] = len(pkey)
 		}
 		for j := range c.Objs {
-			pkey = spec.AppendStateKey(pkey, c.Objs[j])
+			pkey = c.Objs[j].AppendKey(pkey)
 			ends[1+np+j] = len(pkey)
 		}
 		sc.parent = pkey
@@ -850,7 +839,7 @@ func (st *search) expandShardSpliced(out *shardOut, sc *keyScratch, start, end i
 				cand = append(cand, pkey[ends[0]:ends[i]]...)
 				cand = ps.AppendKey(cand)
 				cand = append(cand, pkey[ends[i+1]:ends[np+jo]]...)
-				cand = spec.AppendStateKey(cand, t.Next)
+				cand = t.Next.AppendKey(cand)
 				cand = append(cand, pkey[ends[np+jo+1]:]...)
 				sc.best = cand
 				rec := succRec{

@@ -47,22 +47,13 @@ type diskState struct {
 	metaRec []byte
 }
 
-// lookup probes the interning table for a configuration key. Forked
-// graphs (fork.go) probe their own overlay first, then fall through to
-// the parent snapshot's frozen table; the two are disjoint, so the
-// order only matters for performance (fresh keys dominate post-fork).
+// lookup probes the interning table for a configuration key.
 func (g *graph) lookup(key []byte) (int, bool) {
 	if g.disk != nil {
 		return g.disk.s.Lookup(key)
 	}
-	if id, ok := g.ids[string(key)]; ok {
-		return id, true
-	}
-	if g.baseIDs != nil {
-		id, ok := g.baseIDs[string(key)]
-		return id, ok
-	}
-	return 0, false
+	id, ok := g.ids[string(key)]
+	return id, ok
 }
 
 // intern adds a fresh configuration under its binary key (the

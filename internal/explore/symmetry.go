@@ -316,6 +316,29 @@ func (grp *group) checkRootStable(root *Config) error {
 	return nil
 }
 
+// ProbeSymmetry replays exactly the pre-BFS admissibility pipeline of
+// a symmetry-reduced Check — initial configuration, group
+// construction, root stability — without exploring anything. It
+// returns nil when Check would run reduced, an error matching
+// ErrNotSymmetric/ErrSymmetryUnsupported when Check would reject the
+// reduction (the sweep fallback path), and any other construction
+// error verbatim. The sweep memoizer uses it to account symmetry
+// fallbacks exactly on candidates whose exploration it elides.
+func ProbeSymmetry(sys *System, tsk task.Task, mode Symmetry) error {
+	if mode == SymmetryOff {
+		return nil
+	}
+	root, err := initialConfig(sys)
+	if err != nil {
+		return err
+	}
+	grp, err := buildGroup(sys, tsk, mode)
+	if err != nil {
+		return err
+	}
+	return grp.checkRootStable(root)
+}
+
 // keyScratch is a reusable key workspace: the running minimum and the
 // current candidate. Each shardOut embeds one, which keeps successor
 // canonicalization allocation-free across levels and runs.

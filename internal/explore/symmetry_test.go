@@ -403,3 +403,58 @@ func TestParseSymmetry(t *testing.T) {
 		t.Error("bogus mode accepted")
 	}
 }
+
+// probeFamily builds two enumerate-shaped two-process systems over
+// {1-consensus, register}: base runs two identical proposals and
+// decides, alt follows its proposal with a register read and aborts on
+// ⊥.
+func probeFamily() (base, alt []*machine.Program, objs []spec.Spec) {
+	candA := machine.NewBuilder("probe-cand-a", 4).
+		Invoke(2, 0, value.MethodPropose, machine.R(machine.RegInput), machine.Operand{}).
+		Invoke(3, 0, value.MethodPropose, machine.R(machine.RegInput), machine.Operand{}).
+		JEq(machine.R(3), machine.C(value.Bottom), "onbottom").
+		Decide(machine.R(3)).
+		Label("onbottom").
+		Decide(machine.R(2)).
+		MustBuild()
+	candB := machine.NewBuilder("probe-cand-b", 4).
+		Invoke(2, 0, value.MethodPropose, machine.R(machine.RegInput), machine.Operand{}).
+		Invoke(3, 1, value.MethodRead, machine.Operand{}, machine.Operand{}).
+		JEq(machine.R(3), machine.C(value.Bottom), "onbottom").
+		Decide(machine.R(3)).
+		Label("onbottom").
+		Abort().
+		MustBuild()
+	objs = []spec.Spec{objects.NewConsensus(1), objects.NewRegister()}
+	return []*machine.Program{candA, candA}, []*machine.Program{candB, candB}, objs
+}
+
+// TestProbeSymmetryMatchesCheck confirms ProbeSymmetry accepts exactly
+// when Check runs reduced and rejects with the same sentinel when Check
+// falls back.
+func TestProbeSymmetryMatchesCheck(t *testing.T) {
+	t.Parallel()
+	base, alt, objs := probeFamily()
+	tsk := task.Consensus{N: 2}
+	// Identical programs + identical inputs: ids-symmetric.
+	symmetric := &explore.System{Programs: base, Objects: objs, Inputs: []value.Value{1, 1}}
+	if err := explore.ProbeSymmetry(symmetric, tsk, explore.SymmetryIDs); err != nil {
+		t.Errorf("symmetric probe: %v", err)
+	}
+	if _, err := explore.Check(symmetric, tsk, explore.Options{Symmetry: explore.SymmetryIDs}); err != nil {
+		t.Errorf("symmetric Check: %v", err)
+	}
+	// Distinct inputs break ids-stability of the root.
+	asym := &explore.System{Programs: alt, Objects: objs, Inputs: []value.Value{0, 1}}
+	perr := explore.ProbeSymmetry(asym, tsk, explore.SymmetryIDs)
+	_, cerr := explore.Check(asym, tsk, explore.Options{Symmetry: explore.SymmetryIDs})
+	if (perr == nil) != (cerr == nil) {
+		t.Fatalf("probe err %v but Check err %v", perr, cerr)
+	}
+	if perr != nil && !errors.Is(perr, explore.ErrNotSymmetric) && !errors.Is(perr, explore.ErrSymmetryUnsupported) {
+		t.Errorf("probe rejection %v is not a symmetry sentinel", perr)
+	}
+	if err := explore.ProbeSymmetry(asym, tsk, explore.SymmetryOff); err != nil {
+		t.Errorf("off-mode probe: %v", err)
+	}
+}

@@ -34,7 +34,7 @@ func (s QueueState) Key() string {
 	return b.String()
 }
 
-// AppendKey implements spec.AppendKeyer.
+// AppendKey implements spec.State.
 func (s QueueState) AppendKey(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s.Items)))
 	for _, v := range s.Items {
@@ -44,7 +44,6 @@ func (s QueueState) AppendKey(dst []byte) []byte {
 }
 
 var _ spec.State = QueueState{}
-var _ spec.AppendKeyer = QueueState{}
 
 // Queue is the sequential specification of a FIFO queue: ENQUEUE(v)
 // returns done; DEQUEUE returns and removes the head, or None when
@@ -124,13 +123,12 @@ type CounterState struct {
 // Key implements spec.State.
 func (s CounterState) Key() string { return "c" + strconv.FormatInt(int64(s.Total), 36) }
 
-// AppendKey implements spec.AppendKeyer.
+// AppendKey implements spec.State.
 func (s CounterState) AppendKey(dst []byte) []byte {
 	return binary.AppendVarint(dst, int64(s.Total))
 }
 
 var _ spec.State = CounterState{}
-var _ spec.AppendKeyer = CounterState{}
 
 // Counter is the sequential specification of a fetch&add counter:
 // FETCH_ADD(v) adds v and returns the prior total. Its consensus number
@@ -186,7 +184,7 @@ func (s TASState) Key() string {
 	return "t0"
 }
 
-// AppendKey implements spec.AppendKeyer.
+// AppendKey implements spec.State.
 func (s TASState) AppendKey(dst []byte) []byte {
 	if s.Set {
 		return append(dst, 1)
@@ -195,7 +193,6 @@ func (s TASState) AppendKey(dst []byte) []byte {
 }
 
 var _ spec.State = TASState{}
-var _ spec.AppendKeyer = TASState{}
 
 // TestAndSet is the sequential specification of a test&set bit:
 // TEST_AND_SET returns the prior value (0 for the first caller, 1 ever

@@ -23,14 +23,13 @@ func (s ConsensusState) Key() string {
 	return strconv.FormatInt(int64(s.Val), 36) + "." + strconv.Itoa(s.Count)
 }
 
-// AppendKey implements spec.AppendKeyer.
+// AppendKey implements spec.State.
 func (s ConsensusState) AppendKey(dst []byte) []byte {
 	dst = binary.AppendVarint(dst, int64(s.Val))
 	return binary.AppendUvarint(dst, uint64(s.Count))
 }
 
 var _ spec.State = ConsensusState{}
-var _ spec.AppendKeyer = ConsensusState{}
 
 // Consensus is the deterministic linearizable n-consensus object of §4
 // footnote 6 (after Jayanti [12] and Qadri [13]): each of the first N

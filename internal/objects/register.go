@@ -28,13 +28,12 @@ func (s RegisterState) Key() string {
 	return strconv.FormatInt(int64(s.Val), 36)
 }
 
-// AppendKey implements spec.AppendKeyer.
+// AppendKey implements spec.State.
 func (s RegisterState) AppendKey(dst []byte) []byte {
 	return binary.AppendVarint(dst, int64(s.Val))
 }
 
 var _ spec.State = RegisterState{}
-var _ spec.AppendKeyer = RegisterState{}
 
 // Register is the sequential specification of an atomic read/write
 // register holding a single Value.

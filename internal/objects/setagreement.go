@@ -39,7 +39,7 @@ func (s SetAgreementState) Key() string {
 	return b.String()
 }
 
-// AppendKey implements spec.AppendKeyer.
+// AppendKey implements spec.State.
 func (s SetAgreementState) AppendKey(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s.Vals)))
 	for _, v := range s.Vals {
@@ -49,7 +49,6 @@ func (s SetAgreementState) AppendKey(dst []byte) []byte {
 }
 
 var _ spec.State = SetAgreementState{}
-var _ spec.AppendKeyer = SetAgreementState{}
 
 func (s SetAgreementState) contains(v value.Value) bool {
 	for _, x := range s.Vals {

@@ -10,44 +10,18 @@ import (
 	"setagree/internal/value"
 )
 
-// plainState implements spec.State but deliberately neither
-// spec.AppendKeyer nor spec.Symmetric, standing in for an out-of-tree
-// spec that only provides Key().
+// plainState implements spec.State but deliberately not spec.Symmetric,
+// standing in for a spec without symmetry-reduction support.
 type plainState struct{ k string }
 
 func (s plainState) Key() string { return s.k }
 
-// TestAppendStateKeyFallback: states without AppendKeyer fall back to
-// the length-prefixed Key string, which must be self-delimiting (a key
-// that is a strict prefix of another still produces distinct,
-// unambiguous concatenations) and must round-trip the original Key.
-func TestAppendStateKeyFallback(t *testing.T) {
-	t.Parallel()
-	for _, k := range []string{"", "a", "ab", "a\x00b", "long-key-with-\xff-bytes"} {
-		got := spec.AppendStateKey([]byte("prefix"), plainState{k: k})
-		if !bytes.HasPrefix(got, []byte("prefix")) {
-			t.Fatalf("key %q: dst prefix clobbered", k)
-		}
-		rest := got[len("prefix"):]
-		n, sz := binary.Uvarint(rest)
-		if sz <= 0 || n != uint64(len(k)) {
-			t.Fatalf("key %q: bad length prefix (n=%d, sz=%d)", k, n, sz)
-		}
-		if string(rest[sz:]) != k {
-			t.Fatalf("key %q round-tripped as %q", k, rest[sz:])
-		}
-	}
-	// Self-delimiting in concatenation: ("a","b") and ("ab","") encode
-	// differently even though the raw strings concatenate identically.
-	ab := spec.AppendStateKey(spec.AppendStateKey(nil, plainState{k: "a"}), plainState{k: "b"})
-	abEmpty := spec.AppendStateKey(spec.AppendStateKey(nil, plainState{k: "ab"}), plainState{k: ""})
-	if bytes.Equal(ab, abEmpty) {
-		t.Fatal("length prefixing failed to disambiguate concatenated keys")
-	}
+func (s plainState) AppendKey(dst []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s.k)))
+	return append(dst, s.k...)
 }
 
-// TestAppendStateKeyFastPath: a State with AppendKeyer bypasses the
-// Key-string fallback and the two paths agree on canonicity — equal
+// TestAppendStateKeyFastPath: binary state keys are canonical — equal
 // states encode equal, distinct states encode distinct.
 func TestAppendStateKeyFastPath(t *testing.T) {
 	t.Parallel()
@@ -58,19 +32,14 @@ func TestAppendStateKeyFastPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	s7 := tr[0].Next
-	if ak, ok := s0.(spec.AppendKeyer); !ok {
-		t.Fatalf("register state does not implement AppendKeyer")
-	} else if !bytes.Equal(spec.AppendStateKey(nil, s0), ak.AppendKey(nil)) {
-		t.Fatal("AppendStateKey did not take the AppendKeyer fast path")
-	}
-	if bytes.Equal(spec.AppendStateKey(nil, s0), spec.AppendStateKey(nil, s7)) {
+	if bytes.Equal(s0.AppendKey(nil), s7.AppendKey(nil)) {
 		t.Fatal("distinct register states share a binary key")
 	}
 	tr2, err := reg.Step(reg.Init(), value.Write(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(spec.AppendStateKey(nil, s7), spec.AppendStateKey(nil, tr2[0].Next)) {
+	if !bytes.Equal(s7.AppendKey(nil), tr2[0].Next.AppendKey(nil)) {
 		t.Fatal("equal register states got different binary keys")
 	}
 }
@@ -104,7 +73,7 @@ func TestAppendStateKeyUnderFallback(t *testing.T) {
 	if !ok {
 		t.Fatal("register state lost Symmetric support")
 	}
-	if !bytes.Equal(under, spec.AppendStateKey(nil, s)) {
+	if !bytes.Equal(under, s.AppendKey(nil)) {
 		t.Fatal("identity permutation changed the key")
 	}
 }

@@ -15,7 +15,6 @@
 package spec
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -30,40 +29,20 @@ var ErrBadOp = errors.New("operation not in object interface")
 // State is an immutable snapshot of an object's state. Implementations
 // must treat states as values: Step never mutates its input state.
 type State interface {
-	// Key returns a canonical encoding of the state. Two states of the
-	// same Spec are equal if and only if their keys are equal; the model
-	// checker hashes configurations by concatenating keys.
+	// Key returns a canonical string encoding of the state. Two
+	// states of the same Spec are equal if and only if their keys are
+	// equal. It serves display (witness traces) and linearizability
+	// checking; the model checker hashes AppendKey instead.
 	Key() string
-}
-
-// AppendKeyer is an optional State extension for allocation-free
-// configuration hashing: AppendKey appends a compact binary encoding of
-// the state to dst and returns the extended slice, with the same
-// canonicity contract as Key (two states of the same Spec are equal iff
-// their encodings are equal byte-for-byte). The encoding must be
-// self-delimiting — decodable without knowing where the state's bytes
-// end — because the model checker concatenates the encodings of every
-// process and object state into one configuration key. Length-prefixing
-// variable-size components with binary.AppendUvarint suffices.
-//
-// States without the extension still work: the model checker falls back
-// to the length-prefixed Key string via AppendStateKey. Every State in
-// this repository implements AppendKeyer; the interface exists so
-// out-of-tree specs remain usable without it.
-type AppendKeyer interface {
+	// AppendKey appends a compact binary encoding of the state to dst
+	// and returns the extended slice, with the same canonicity contract
+	// as Key (two states of the same Spec are equal iff their encodings
+	// are equal byte-for-byte). The encoding must be self-delimiting —
+	// decodable without knowing where the state's bytes end — because
+	// the model checker concatenates the encodings of every process and
+	// object state into one configuration key. Length-prefixing
+	// variable-size components with binary.AppendUvarint suffices.
 	AppendKey(dst []byte) []byte
-}
-
-// AppendStateKey appends s's self-delimiting binary key to dst: the
-// AppendKeyer fast path when implemented, else the Key string prefixed
-// with its length (which is self-delimiting for any Key).
-func AppendStateKey(dst []byte, s State) []byte {
-	if ak, ok := s.(AppendKeyer); ok {
-		return ak.AppendKey(dst)
-	}
-	k := s.Key()
-	dst = binary.AppendUvarint(dst, uint64(len(k)))
-	return append(dst, k...)
 }
 
 // Transition is one entry of the transition relation: the successor

@@ -75,7 +75,9 @@ func ParseFlag(s string) (Options, error) {
 
 // ParseBudget parses a byte count: a number (decimals allowed) with an
 // optional suffix B, K/KB/KiB, M/MB/MiB, or G/GB/GiB. All multiples are
-// binary (1K = 1024 bytes).
+// binary (1K = 1024 bytes). Counts that are not finite or do not fit
+// in an int64 once multiplied are rejected: a negative budget means
+// "no bound", so a wrapped conversion would silently lift the limit.
 func ParseBudget(s string) (int64, error) {
 	num := strings.TrimRight(s, "BbKkMmGgIi")
 	mult := float64(1)
@@ -91,7 +93,9 @@ func ParseBudget(s string) (int64, error) {
 		return 0, fmt.Errorf("bad byte suffix %q", s[len(num):])
 	}
 	v, err := strconv.ParseFloat(num, 64)
-	if err != nil || v < 0 {
+	// !(v >= 0) also rejects NaN; the upper bound rejects +Inf and every
+	// product too large to convert to int64.
+	if err != nil || !(v >= 0) || v*mult >= 1<<63 {
 		return 0, fmt.Errorf("bad byte count %q", s)
 	}
 	return int64(v * mult), nil

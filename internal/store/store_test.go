@@ -46,11 +46,27 @@ func TestParseFlag(t *testing.T) {
 }
 
 func TestParseBudgetRejects(t *testing.T) {
-	for _, in := range []string{"", "GB", "-1", "1TB", "1.2.3MB"} {
+	for _, in := range []string{"", "GB", "-1", "1TB", "1.2.3MB", "NaN", "Inf", "1e30", "1e30G"} {
 		if v, err := ParseBudget(in); err == nil {
 			t.Errorf("ParseBudget(%q) = %d, want error", in, v)
 		}
 	}
+}
+
+// FuzzParseBudget: parsing never panics, and every accepted budget is
+// non-negative (a negative budget would mean "no bound").
+func FuzzParseBudget(f *testing.F) {
+	for _, seed := range []string{
+		"", "100", "1.5GB", "2KiB", "64M", "bogus",
+		"GB", "-1", "1TB", "1.2.3MB", "NaN", "Inf", "1e30", "1e30G",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if v, err := ParseBudget(s); err == nil && v < 0 {
+			t.Errorf("ParseBudget(%q) = %d, want >= 0", s, v)
+		}
+	})
 }
 
 // TestArenaStraddle exercises records crossing chunk boundaries with a
