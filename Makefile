@@ -29,11 +29,16 @@ test:
 	$(GO) test ./...
 
 # fuzz runs each native fuzz target for a few seconds beyond its seed
-# corpus: today FuzzParseBudget, which holds the -store budget parser
-# (also dacd's store_budget and journal bound) to never panicking and
-# never accepting a negative, i.e. unbounded, budget.
+# corpus, one target per line (go test -fuzz takes one per run):
+# FuzzParseBudget holds the -store budget parser (also dacd's
+# store_budget and journal bound) to never panicking and never
+# accepting a negative, i.e. unbounded, budget; FuzzMerge holds the
+# cluster's shard merge — where shard results from other daemons
+# become a verdict — to never panicking and never accepting a report
+# that lists a candidate outside the sweep or out of order.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseBudget$$' -fuzztime 5s ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzMerge$$' -fuzztime 5s ./internal/cluster
 
 # The two pinned-worker runs re-execute the symmetry soundness suite
 # (reduced-vs-unreduced verdict equality + witness replay) under the

@@ -60,7 +60,7 @@ func TestClusterShardRetryE2E(t *testing.T) {
 
 	w1 := startDaemon(t, t.TempDir())
 	w2 := startDaemon(t, t.TempDir())
-	coord := startDaemon(t, t.TempDir(), "-coordinator", "-workers", w1.base+","+w2.base)
+	coord := startDaemon(t, t.TempDir(), "-workers", w1.base+","+w2.base)
 	single := startDaemon(t, t.TempDir())
 
 	// Baseline: the same sweep on a plain daemon, in-process, with the

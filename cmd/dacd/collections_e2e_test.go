@@ -23,7 +23,7 @@ func TestCollectionsSweepE2E(t *testing.T) {
 	}
 
 	worker := startDaemon(t, t.TempDir())
-	coord := startDaemon(t, t.TempDir(), "-coordinator", "-workers", worker.base)
+	coord := startDaemon(t, t.TempDir(), "-workers", worker.base)
 	single := startDaemon(t, t.TempDir())
 
 	spec := map[string]any{"collections": cluster.CollectionsRef(), "shards": 3}

@@ -8,20 +8,19 @@
 //
 //	dacd -addr 127.0.0.1:8099 -data ./dacd-data [-job-workers N] [-max-pending N]
 //	     [-archive DIR] [-journal-max SIZE] [-archive-age D] [-archive-sweep D]
-//	     [-pprof] [-coordinator [-workers URL,URL,...]]
+//	     [-pprof] [-workers URL,URL,...]
 //
 // Checking cluster: every daemon accepts "sweep" (a whole falsification
 // sweep) and "sweep-shard" (one candidate range of a sweep) jobs. A
-// daemon started with -coordinator -workers splits each "sweep" into
-// candidate-range shards, dispatches them as "sweep-shard" jobs to the
-// worker daemons, retries shards lost to worker death, steals work from
-// stragglers, and merges the shard reports. The merged result is
-// byte-identical to running the same "sweep" on a single plain daemon:
-// candidates index deterministically, so shard boundaries, retries, and
-// steals never show in the report. See EXPERIMENTS.md "Running a
-// checking cluster".
+// daemon started with -workers is a coordinator: it splits each "sweep"
+// into candidate-range shards, dispatches them as "sweep-shard" jobs to
+// the worker daemons, retries shards lost to worker death, and merges
+// the shard reports. The merged result is byte-identical to running the
+// same "sweep" on a single plain daemon: candidates index
+// deterministically, so shard boundaries and retries never show in the
+// report. See EXPERIMENTS.md "Running a checking cluster".
 //
-// Set-consensus collections sweeps ride the same machinery:
+// Set-consensus collections sweeps ride the same pipeline:
 // "collections-sweep" decides task solvability for every collection in
 // a multiset space (internal/collections) and "collections-shard" is
 // its per-range worker job. The same byte-identity guarantee holds —
@@ -104,21 +103,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	archiveAge := fs.Duration("archive-age", time.Minute, "keep finished jobs hot for this long before archiving them")
 	archiveSweep := fs.Duration("archive-sweep", 30*time.Second, "interval between archival sweeps")
 	pprofOn := fs.Bool("pprof", false, "serve the profiler under /debug/pprof/")
-	coordinator := fs.Bool("coordinator", false, "coordinate \"sweep\" jobs across the -workers cluster (without -workers, sweeps run in-process)")
-	workerURLs := fs.String("workers", "", "comma-separated worker daemon base URLs for -coordinator shard dispatch")
+	workerURLs := fs.String("workers", "", "comma-separated worker daemon base URLs: this daemon coordinates \"sweep\" and \"collections-sweep\" jobs across them (empty = run sweeps in-process)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	var clusterWorkers []string
-	if *workerURLs != "" {
-		if !*coordinator {
-			fmt.Fprintln(stderr, "dacd: -workers requires -coordinator")
-			return 2
-		}
-		for _, u := range strings.Split(*workerURLs, ",") {
-			if u = strings.TrimSpace(strings.TrimSuffix(u, "/")); u != "" {
-				clusterWorkers = append(clusterWorkers, u)
-			}
+	for _, u := range strings.Split(*workerURLs, ",") {
+		if u = strings.TrimSpace(strings.TrimSuffix(u, "/")); u != "" {
+			clusterWorkers = append(clusterWorkers, u)
 		}
 	}
 	journalBound, err := cfgstore.ParseBudget(*journalMax)
@@ -141,13 +133,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	reg := obs.NewRegistry()
-	pool := jobs.NewPool(store, *workers, map[string]jobs.Runner{
-		"explore":           exploreRunner(reg),
-		"sweep":             sweepRunner(reg, clusterWorkers),
-		"sweep-shard":       sweepShardRunner(reg),
-		"collections-sweep": collectionsRunner(reg, clusterWorkers),
-		"collections-shard": collectionsShardRunner(reg),
-	})
+	runners := clusterRunners(reg, clusterWorkers)
+	runners["explore"] = exploreRunner(reg)
+	pool := jobs.NewPool(store, *workers, runners)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintf(stderr, "dacd: %v\n", err)

@@ -2,12 +2,15 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -258,4 +261,81 @@ func TestDashboardLiveDataPath(t *testing.T) {
 		t.Errorf("states not growing across heartbeats: %v", samples)
 	}
 	waitJob(t, ts.URL, job.ID, jobs.Done, 120*time.Second)
+}
+
+// TestSSEStreamsLinesWrittenAtExit: a job that writes its last event
+// line and returns at once must still have that line streamed before
+// the done frame. The events handler used to read the file first and
+// check the job's state second, so a job that finished in between
+// ended the stream without its final lines. Many concurrent short jobs
+// (their journal fsyncs contending for the store lock) and randomized
+// release times make it likely some trial lands in that window.
+func TestSSEStreamsLinesWrittenAtExit(t *testing.T) {
+	t.Parallel()
+	const trials = 96
+	var gates sync.Map // job ID -> chan struct{}
+	gate := func(id string) chan struct{} {
+		c, _ := gates.LoadOrStore(id, make(chan struct{}))
+		return c.(chan struct{})
+	}
+	store, err := jobs.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	pool := jobs.NewPool(store, trials, map[string]jobs.Runner{
+		"last": func(ctx context.Context, s *jobs.Store, j jobs.Job) ([]byte, error) {
+			<-gate(j.ID)
+			return []byte(`{}`), os.WriteFile(s.EventsPath(j.ID), []byte("{\"event\":\"last\"}\n"), 0o644)
+		},
+	})
+	ts := httptest.NewServer(newServer(store, pool, serverOptions{KeepAlive: -1}))
+	t.Cleanup(ts.Close)
+	t.Cleanup(func() { pool.Drain(context.Background()) })
+
+	var wg sync.WaitGroup
+	for i := 0; i < trials; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			buf, err := json.Marshal(map[string]any{"kind": "last"})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(buf))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			var job jobs.Job
+			err = json.NewDecoder(resp.Body).Decode(&job)
+			resp.Body.Close()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			stream, err := http.Get(ts.URL + "/jobs/" + job.ID + "/events")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer stream.Body.Close()
+			// The handler is tailing; release the job at a random point
+			// of its 100 ms poll cycle.
+			time.Sleep(time.Duration(i*2113%100) * time.Millisecond)
+			close(gate(job.ID))
+			body, err := io.ReadAll(stream.Body)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			last := bytes.Index(body, []byte(`data: {"event":"last"}`))
+			done := bytes.Index(body, []byte("event: done"))
+			if last < 0 || done < last {
+				t.Errorf("%s: stream ended without the job's last line:\n%s", job.ID, body)
+			}
+		}(i)
+	}
+	wg.Wait()
 }

@@ -307,13 +307,16 @@ func (s *server) events(w http.ResponseWriter, r *http.Request) {
 	ticker := time.NewTicker(100 * time.Millisecond)
 	defer ticker.Stop()
 	for {
+		// Snapshot the state before reading the file: a job is terminal
+		// only after its runner has returned, so a terminal state seen
+		// here guarantees the read below sees every line it wrote.
+		job, err := s.store.Get(id)
 		n, sent := s.sendFrom(w, id, off)
 		off = n
 		if sent {
 			flusher.Flush()
 			lastWrite = time.Now()
 		}
-		job, err := s.store.Get(id)
 		if err == nil && job.State.Terminal() && !sent {
 			fmt.Fprintf(w, "event: done\ndata: {\"state\":%q}\n\n", job.State)
 			flusher.Flush()

@@ -219,7 +219,7 @@ func run(args []string) int {
 		workerDaemons = append(workerDaemons, w)
 		workerURLs = append(workerURLs, w.base)
 	}
-	coord, err := spawn(*bin, "-coordinator", "-workers", strings.Join(workerURLs, ","),
+	coord, err := spawn(*bin, "-workers", strings.Join(workerURLs, ","),
 		"-max-pending", strconv.Itoa(*maxPending))
 	if err != nil {
 		return fail(err)

@@ -102,6 +102,59 @@ func TestMergeValidation(t *testing.T) {
 	if _, err := Merge(10, []*ShardReport{sh(0, 5), bad}); err == nil {
 		t.Error("pruned disagreement accepted")
 	}
+
+	// Shard results are bytes from other daemons: nothing that does not
+	// tile the sweep, or lists a candidate outside its shard or out of
+	// order, may merge into a verdict.
+	solvers := func(idx ...int) []ShardSolver {
+		out := make([]ShardSolver, len(idx))
+		for i, x := range idx {
+			out[i] = ShardSolver{Index: x}
+		}
+		return out
+	}
+	with := func(lo, hi int, edit func(*ShardReport)) *ShardReport {
+		r := sh(lo, hi)
+		edit(r)
+		return r
+	}
+	for _, tc := range []struct {
+		name       string
+		candidates int
+		shards     []*ShardReport
+	}{
+		{"backwards shard hides an out-of-sweep solver", 5, []*ShardReport{
+			with(0, 8, func(r *ShardReport) { r.Solvers = solvers(7) }), sh(8, 5)}},
+		{"shard past the sweep", 5, []*ShardReport{sh(0, 8)}},
+		{"solver listed by two shards", 10, []*ShardReport{
+			with(0, 5, func(r *ShardReport) { r.Solvers = solvers(7) }),
+			with(5, 10, func(r *ShardReport) { r.Solvers = solvers(7) })}},
+		{"solver below its shard", 10, []*ShardReport{sh(0, 5),
+			with(5, 10, func(r *ShardReport) { r.Solvers = solvers(4) })}},
+		{"inconclusive outside its shard", 10, []*ShardReport{sh(5, 10),
+			with(0, 5, func(r *ShardReport) { r.Inconclusive = []ShardInconclusive{{Index: 5}} })}},
+		{"failure outside its shard", 10, []*ShardReport{sh(5, 10),
+			with(0, 5, func(r *ShardReport) { r.Failure = &ShardFailure{Index: 9} })}},
+		{"repeated solver", 10, []*ShardReport{sh(5, 10),
+			with(0, 5, func(r *ShardReport) { r.Solvers = solvers(2, 2) })}},
+		{"decreasing solvers", 10, []*ShardReport{sh(5, 10),
+			with(0, 5, func(r *ShardReport) { r.Solvers = solvers(3, 1) })}},
+		{"decreasing inconclusive", 10, []*ShardReport{sh(0, 5),
+			with(5, 10, func(r *ShardReport) { r.Inconclusive = []ShardInconclusive{{Index: 8}, {Index: 6}} })}},
+		{"missing shard", 10, []*ShardReport{sh(0, 5), nil}},
+	} {
+		if rep, err := Merge(tc.candidates, tc.shards); err == nil {
+			t.Errorf("%s: accepted, merged solvers %v", tc.name, rep.Solvers)
+		}
+	}
+	ok := with(0, 5, func(r *ShardReport) {
+		r.Solvers = solvers(1, 3)
+		r.Inconclusive = []ShardInconclusive{{Index: 2}}
+		r.Failure = &ShardFailure{Index: 4}
+	})
+	if _, err := Merge(10, []*ShardReport{ok, sh(5, 10)}); err != nil {
+		t.Errorf("well-formed shards rejected: %v", err)
+	}
 }
 
 // smallSpec is a fast sweep (depth-1 register family against
@@ -297,7 +350,6 @@ func TestRunClusterMatchesLocal(t *testing.T) {
 		Workers:     []string{w1.URL, w2.URL, deadURL},
 		Shards:      4,
 		Poll:        5 * time.Millisecond,
-		StealAfter:  -1,
 		MaxAttempts: 20,
 		Obs:         sink,
 	})
@@ -337,61 +389,10 @@ func TestRunClusterGivesUp(t *testing.T) {
 		Workers:     []string{deadURL},
 		Shards:      2,
 		Poll:        time.Millisecond,
-		StealAfter:  -1,
 		MaxAttempts: 3,
 		Obs:         obs.NewSink(),
 	})
 	if err == nil {
 		t.Fatal("cluster of dead workers reported success")
-	}
-}
-
-// TestStealRescuesStraggler pins work stealing: a worker that accepts
-// a shard and then never finishes it does not stall the sweep — the
-// steal timer re-dispatches its shard to a live worker.
-func TestStealRescuesStraggler(t *testing.T) {
-	t.Parallel()
-	live := httptest.NewServer(newFakeWorker().handler())
-	defer live.Close()
-	// The black hole accepts one job and never progresses it.
-	var bhMu sync.Mutex
-	accepted := 0
-	blackhole := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		bhMu.Lock()
-		defer bhMu.Unlock()
-		if r.Method == http.MethodPost {
-			accepted++
-			w.WriteHeader(http.StatusAccepted)
-			json.NewEncoder(w).Encode(jobs.Job{ID: fmt.Sprintf("job-%06d", accepted), State: jobs.Running})
-			return
-		}
-		json.NewEncoder(w).Encode(jobs.Job{ID: "job-000001", State: jobs.Running})
-	}))
-	defer blackhole.Close()
-
-	sink := obs.NewSink()
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	rep, err := Run(ctx, smallSpec(), Options{
-		Workers:    []string{live.URL, blackhole.URL},
-		Shards:     2,
-		Poll:       5 * time.Millisecond,
-		StealAfter: 200 * time.Millisecond,
-		Obs:        sink,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	local, err := Run(context.Background(), smallSpec(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lb, _ := local.Render()
-	cb, _ := rep.Render()
-	if !bytes.Equal(lb, cb) {
-		t.Errorf("stolen sweep differs from local run:\n%s\nvs\n%s", cb, lb)
-	}
-	if sink.Counter("cluster.shards_stolen").Load() == 0 {
-		t.Error("no steal recorded despite the straggler")
 	}
 }

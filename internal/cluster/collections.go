@@ -2,10 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"sync"
-	"time"
 
 	"setagree/internal/collections"
 	"setagree/internal/obs"
@@ -85,77 +81,26 @@ type CollectionsShardJob struct {
 	PaceMs int `json:"pace_ms,omitempty"`
 }
 
-// engineCache shares one decision engine per spec across the shard
-// jobs hitting the same daemon, so cost tables memoized deciding one
-// shard accelerate every later shard of the same sweep. Sharing is
-// transparent: memoization never changes a verdict. Mirrors
-// preparedCache, including the reset-on-overflow policy.
-var (
-	engineMu    sync.Mutex
-	engineCache = map[string]*collections.Engine{}
-)
-
-func engineFor(sp CollectionsSpec) (*collections.Engine, error) {
-	key, err := json.Marshal(sp)
-	if err != nil {
-		return nil, err
-	}
-	engineMu.Lock()
-	defer engineMu.Unlock()
-	if e, ok := engineCache[string(key)]; ok {
-		return e, nil
-	}
-	if len(engineCache) >= preparedCacheCap {
-		engineCache = map[string]*collections.Engine{}
-	}
-	e := collections.NewEngine()
-	engineCache[string(key)] = e
-	return e, nil
-}
-
-// RunCollectionsShard decides one shard in-process: the worker half of
-// the collections cluster protocol, also used directly by dacd's
-// collections-shard runner.
+// RunCollectionsShard decides one collections shard in-process: the
+// worker half of the collections cluster protocol, also used directly
+// by dacd's collections-shard runner.
 func RunCollectionsShard(ctx context.Context, job CollectionsShardJob, sink *obs.Sink, events *obs.Emitter) (*collections.RangeReport, error) {
-	eng, err := engineFor(job.Collections)
-	if err != nil {
-		return nil, err
-	}
-	opts := job.Collections.sweepOptions()
-	opts.Engine = eng
-	opts.Ctx = ctx
-	opts.Obs = sink
-	opts.Events = events
-	if job.PaceMs > 0 {
-		pace := time.Duration(job.PaceMs) * time.Millisecond
-		opts.OnProgress = func(collections.Progress) { time.Sleep(pace) }
-	}
-	return collections.CheckRange(job.Collections.Space(), job.Collections.Task(), job.Lo, job.Hi, opts)
+	return runShard[collections.RangeReport, collections.Report](ctx, job.Collections, job.Lo, job.Hi, job.PaceMs, sink, events)
 }
 
-// RunCollections executes the collections sweep: shard the collection
-// space, decide every shard (in-process, or dispatched across Workers
-// with retry and stealing), and merge into the canonical
-// collections.Report. The returned document is a pure function of the
-// spec — identical bytes at any worker count, shard boundary, retry,
-// or steal schedule.
+// RunCollections executes the collections sweep through the cluster
+// pipeline (see run) and returns the canonical collections.Report.
 func RunCollections(ctx context.Context, sp CollectionsSpec, o Options) (*collections.Report, error) {
-	o = o.fill()
-	rep, err := runCollections(ctx, sp, o)
-	if err != nil {
-		o.Events.Emit("cluster.error", obs.Fields{"error": err.Error()})
-		return nil, err
-	}
-	o.Events.Emit("cluster.done", obs.Fields{
-		"collections": rep.Collections,
-		"pruned":      rep.Pruned,
-		"solvable":    rep.Solvable,
-		"workers":     len(o.Workers),
-	})
-	return rep, nil
+	return run[collections.RangeReport, collections.Report](ctx, sp, o)
 }
 
-func runCollections(ctx context.Context, sp CollectionsSpec, o Options) (*collections.Report, error) {
+func (sp CollectionsSpec) shardKind() string { return "collections-shard" }
+
+func (sp CollectionsSpec) shardJob(lo, hi, paceMs int) any {
+	return CollectionsShardJob{Collections: sp, Lo: lo, Hi: hi, PaceMs: paceMs}
+}
+
+func (sp CollectionsSpec) checker() (*rangeChecker[collections.RangeReport], error) {
 	space, tsk := sp.Space(), sp.Task()
 	if err := space.Validate(); err != nil {
 		return nil, err
@@ -163,63 +108,28 @@ func runCollections(ctx context.Context, sp CollectionsSpec, o Options) (*collec
 	if err := tsk.Validate(); err != nil {
 		return nil, err
 	}
-	n := space.Count()
-	bounds := shardBounds(n, o.shardCount(n), 1)
-	if len(o.Workers) == 0 {
-		return runCollectionsLocal(ctx, sp, space, tsk, bounds, o)
-	}
-	proto := shardProto{
-		kind: "collections-shard",
-		job: func(lo, hi int) any {
-			return CollectionsShardJob{Collections: sp, Lo: lo, Hi: hi, PaceMs: o.PaceMs}
-		},
-		states: func(raw []byte) (int, error) {
-			var rr collections.RangeReport
-			if err := json.Unmarshal(raw, &rr); err != nil {
-				return 0, fmt.Errorf("cluster: bad collections shard result: %w", err)
-			}
-			return rr.Hi - rr.Lo, nil
-		},
-	}
-	raws, err := dispatchCluster(ctx, bounds, proto, o)
-	if err != nil {
-		return nil, err
-	}
-	shards := make([]*collections.RangeReport, len(raws))
-	for i, raw := range raws {
-		var rr collections.RangeReport
-		if err := json.Unmarshal(raw, &rr); err != nil {
-			return nil, fmt.Errorf("cluster: collections shard [%d,%d) result: %w", bounds[i][0], bounds[i][1], err)
+	eng := collections.NewEngine()
+	check := func(ctx context.Context, lo, hi int, pace func(), sink *obs.Sink, events *obs.Emitter) (*collections.RangeReport, error) {
+		opts := sp.sweepOptions()
+		opts.Engine, opts.Ctx, opts.Obs, opts.Events = eng, ctx, sink, events
+		if pace != nil {
+			opts.OnProgress = func(collections.Progress) { pace() }
 		}
-		shards[i] = &rr
+		return collections.CheckRange(space, tsk, lo, hi, opts)
 	}
-	return collections.MergeRanges(space, tsk, sp.Levels, shards)
+	return &rangeChecker[collections.RangeReport]{candidates: space.Count(), rowWidth: 1, check: check}, nil
 }
 
-// runCollectionsLocal decides every shard in-process, sequentially —
-// the single-daemon baseline, through the exact pipeline the cluster
-// uses, so the two render identical bytes.
-func runCollectionsLocal(ctx context.Context, sp CollectionsSpec, space collections.Space, tsk collections.Task, bounds [][2]int, o Options) (*collections.Report, error) {
-	eng := collections.NewEngine()
-	shards := make([]*collections.RangeReport, 0, len(bounds))
-	for _, b := range bounds {
-		opts := sp.sweepOptions()
-		opts.Engine = eng
-		opts.Ctx = ctx
-		opts.Obs = o.Obs
-		opts.Events = o.Events
-		if o.PaceMs > 0 {
-			pace := time.Duration(o.PaceMs) * time.Millisecond
-			opts.OnProgress = func(collections.Progress) { time.Sleep(pace) }
-		}
-		rr, err := collections.CheckRange(space, tsk, b[0], b[1], opts)
-		if err != nil {
-			return nil, err
-		}
-		shards = append(shards, rr)
-		o.Obs.Counter("cluster.shards").Inc()
-		o.Obs.Counter("cluster.candidates").Add(int64(b[1] - b[0]))
-		o.Obs.Counter("cluster.states").Add(int64(b[1] - b[0]))
+func (sp CollectionsSpec) progress(rr *collections.RangeReport) int { return rr.Hi - rr.Lo }
+
+func (sp CollectionsSpec) merge(_ int, shards []*collections.RangeReport) (*collections.Report, error) {
+	return collections.MergeRanges(sp.Space(), sp.Task(), sp.Levels, shards)
+}
+
+func (sp CollectionsSpec) doneFields(rep *collections.Report) obs.Fields {
+	return obs.Fields{
+		"collections": rep.Collections,
+		"pruned":      rep.Pruned,
+		"solvable":    rep.Solvable,
 	}
-	return collections.MergeRanges(space, tsk, sp.Levels, shards)
 }

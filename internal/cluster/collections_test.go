@@ -64,7 +64,6 @@ func TestRunCollectionsClusterMatchesLocal(t *testing.T) {
 		Workers:     []string{w1.URL, deadURL},
 		Shards:      3,
 		Poll:        5 * time.Millisecond,
-		StealAfter:  -1,
 		MaxAttempts: 20,
 		Obs:         sink,
 	})

@@ -11,85 +11,104 @@ import (
 	"sync"
 	"time"
 
-	"setagree/internal/enumerate"
 	"setagree/internal/jobs"
 	"setagree/internal/obs"
 )
 
-// ShardJob is the "sweep-shard" job spec a coordinator submits to a
-// worker daemon: rebuild the sweep, check candidates [Lo, Hi).
-type ShardJob struct {
-	Sweep SweepSpec `json:"sweep"`
-	Lo    int       `json:"lo"`
-	Hi    int       `json:"hi"`
-	// PaceMs sleeps after each candidate — a test knob that stretches
-	// sweeps enough to kill a worker mid-shard.
-	PaceMs int `json:"pace_ms,omitempty"`
+// family is one kind of sweep the cluster shards: a falsification
+// sweep (SweepSpec) or a set-consensus collections sweep
+// (CollectionsSpec). The spec is the family: it names the worker job,
+// prepares itself for checking, and merges its shard results R into
+// its canonical document D. Everything else — shard bounds, the
+// in-process loop, dispatch, retry, backpressure, metrics, events — is
+// the one pipeline in run.
+type family[R, D any] interface {
+	// shardKind is the jobs-API kind of the family's worker jobs.
+	shardKind() string
+	// shardJob is the worker job spec for candidates [lo, hi).
+	shardJob(lo, hi, paceMs int) any
+	// checker validates the spec and prepares it for checking ranges.
+	checker() (*rangeChecker[R], error)
+	// progress is a shard result's progress figure for the cluster.*
+	// metrics and events: explored states for sweeps, decided
+	// collections for collections sweeps.
+	progress(*R) int
+	// merge folds shard results tiling [0, candidates) into the
+	// family's document.
+	merge(candidates int, shards []*R) (*D, error)
+	// doneFields are the family's cluster.done event fields.
+	doneFields(*D) obs.Fields
 }
 
-// preparedCache memoizes Prepare() by spec JSON, so the many shard
-// jobs of one coordinated sweep hitting the same daemon share a single
-// Prepared — and with it the memo table, so verdict classes learned
-// checking one shard accelerate every later shard of the same sweep.
-// Sharing is transparent: Prepare is deterministic in the spec, and
-// the memo only caches verdicts that re-checking would reproduce.
-// Small and unordered — a daemon serves few distinct sweeps at a time;
-// on overflow the cache simply resets.
+// rangeChecker is a family's spec made ready to check: its index space
+// and a range checker that any number of shards may share.
+type rangeChecker[R any] struct {
+	// candidates is the size of the index space, [0, candidates).
+	candidates int
+	// rowWidth is the shard-alignment hint (see shardBounds).
+	rowWidth int
+	// check decides [lo, hi); a non-nil pace runs after every
+	// candidate.
+	check func(ctx context.Context, lo, hi int, pace func(), sink *obs.Sink, events *obs.Emitter) (*R, error)
+}
+
+// pacer is the PaceMs test knob as a per-candidate hook: a sleep that
+// stretches sweeps enough to kill a worker mid-shard. Nil when off.
+func pacer(paceMs int) func() {
+	if paceMs <= 0 {
+		return nil
+	}
+	pace := time.Duration(paceMs) * time.Millisecond
+	return func() { time.Sleep(pace) }
+}
+
+// The worker cache shares one rangeChecker per spec across the shard
+// jobs of one coordinated sweep that hit the same daemon — and with it
+// the sweep's memo table or the collections engine's cost tables, so
+// what one shard learns accelerates every later shard of the same
+// sweep. Sharing is transparent: preparation is deterministic in the
+// spec, and memoization only caches verdicts that re-checking would
+// reproduce. Small and unordered — a daemon serves few distinct sweeps
+// at a time; on overflow the cache simply resets. Only worker shard
+// jobs use it: a whole sweep run in-process prepares afresh, so no
+// memo hit crosses from one job into another's events and counters.
 var (
-	preparedMu    sync.Mutex
-	preparedCache = map[string]*enumerate.Prepared{}
+	cacheMu sync.Mutex
+	cache   = map[string]any{}
 )
 
-const preparedCacheCap = 8
+const cacheCap = 8
 
-func preparedFor(sp SweepSpec) (*enumerate.Prepared, error) {
-	key, err := json.Marshal(sp)
+func cachedChecker[R, D any](f family[R, D]) (*rangeChecker[R], error) {
+	key, err := json.Marshal(f)
 	if err != nil {
 		return nil, err
 	}
-	preparedMu.Lock()
-	defer preparedMu.Unlock()
-	if p, ok := preparedCache[string(key)]; ok {
-		return p, nil
+	k := f.shardKind() + string(key)
+	cacheMu.Lock()
+	defer cacheMu.Unlock()
+	if c, ok := cache[k]; ok {
+		return c.(*rangeChecker[R]), nil
 	}
-	p, err := sp.Prepare()
+	c, err := f.checker()
 	if err != nil {
 		return nil, err
 	}
-	if len(preparedCache) >= preparedCacheCap {
-		preparedCache = map[string]*enumerate.Prepared{}
+	if len(cache) >= cacheCap {
+		cache = map[string]any{}
 	}
-	preparedCache[string(key)] = p
-	return p, nil
+	cache[k] = c
+	return c, nil
 }
 
-// RunShard checks one shard in-process: the worker half of the
-// cluster protocol, also used directly by dacd's sweep-shard runner.
-func RunShard(ctx context.Context, job ShardJob, sink *obs.Sink, events *obs.Emitter) (*ShardReport, error) {
-	p, err := preparedFor(job.Sweep)
+// runShard checks one shard in-process through the worker cache: the
+// worker half of the cluster protocol.
+func runShard[R, D any](ctx context.Context, f family[R, D], lo, hi, paceMs int, sink *obs.Sink, events *obs.Emitter) (*R, error) {
+	c, err := cachedChecker(f)
 	if err != nil {
 		return nil, err
 	}
-	vectors, err := job.Sweep.Vectors()
-	if err != nil {
-		return nil, err
-	}
-	opts, err := job.Sweep.Options()
-	if err != nil {
-		return nil, err
-	}
-	opts.Ctx = ctx
-	opts.Obs = sink
-	opts.Events = events
-	if job.PaceMs > 0 {
-		pace := time.Duration(job.PaceMs) * time.Millisecond
-		opts.OnProgress = func(enumerate.Progress) { time.Sleep(pace) }
-	}
-	rr, err := p.CheckRange(job.Lo, job.Hi, vectors, opts)
-	if err != nil {
-		return nil, err
-	}
-	return ShardReportOf(rr), nil
+	return c.check(ctx, lo, hi, pacer(paceMs), sink, events)
 }
 
 // Options configures a coordinated sweep.
@@ -99,60 +118,28 @@ type Options struct {
 	// pipeline the cluster uses, so the two render identical bytes.
 	Workers []string
 	// Shards is the number of candidate-range shards; 0 derives it:
-	// 4 per worker (for balance under stealing), or 1 with no workers.
+	// 4 per worker (for load balance), or 1 with no workers.
 	Shards int
-	// ShardSize, when Shards is 0, caps candidates per shard instead.
-	ShardSize int
 	// MaxAttempts is how many failed dispatches a shard survives
 	// before the sweep aborts (0 = 8). Each worker death, fetch error,
 	// or failed job costs one attempt; the shard requeues in between.
 	MaxAttempts int
-	// StealAfter is how long the coordinator waits with idle workers
-	// and an empty queue before speculatively re-dispatching the least
-	// duplicated in-flight shard (straggler defense; first result
-	// wins — safe because shard results are deterministic). 0 = 30s,
-	// negative disables.
-	StealAfter time.Duration
 	// Poll is the job status poll cadence (0 = 50ms).
 	Poll time.Duration
 	// PaceMs is forwarded into every shard job (see ShardJob.PaceMs).
 	PaceMs int
-	// Client is the HTTP client for worker calls (nil = 30s timeout).
-	Client *http.Client
 	// Obs receives cluster.* metrics; Events the cluster.* event log.
 	Obs    *obs.Sink
 	Events *obs.Emitter
 }
 
-func (o Options) fill() Options {
-	if o.MaxAttempts == 0 {
-		o.MaxAttempts = 8
-	}
-	if o.StealAfter == 0 {
-		o.StealAfter = 30 * time.Second
-	}
-	if o.Poll == 0 {
-		o.Poll = 50 * time.Millisecond
-	}
-	if o.Client == nil {
-		o.Client = &http.Client{Timeout: 30 * time.Second}
-	}
-	return o
-}
+// client carries every worker call.
+var client = &http.Client{Timeout: 30 * time.Second}
 
 func (o Options) shardCount(candidates int) int {
 	n := o.Shards
-	switch {
-	case n > 0:
-	case o.ShardSize > 0:
-		n = (candidates + o.ShardSize - 1) / o.ShardSize
-	case len(o.Workers) > 0:
-		n = 4 * len(o.Workers)
-	default:
-		n = 1
-	}
 	if n < 1 {
-		n = 1
+		n = max(4*len(o.Workers), 1)
 	}
 	if candidates > 0 && n > candidates {
 		n = candidates
@@ -193,169 +180,97 @@ func shardBounds(candidates, n, rowWidth int) [][2]int {
 	return bounds
 }
 
-// Run executes the sweep: shard the candidate space, check every
-// shard (in-process, or dispatched across Workers with retry and
-// stealing), and merge into the canonical SweepReport. The returned
-// document is a pure function of the spec — identical bytes at any
-// worker count, shard boundary, retry, or steal schedule.
-func Run(ctx context.Context, sp SweepSpec, o Options) (*SweepReport, error) {
-	o = o.fill()
-	rep, err := run(ctx, sp, o)
+// run executes one sweep of any family: shard the index space, check
+// every shard (in-process, or dispatched across Workers with retry),
+// and merge into the family's canonical document. The document is a
+// pure function of the spec — identical bytes at any worker count,
+// shard boundary, or retry schedule.
+func run[R, D any](ctx context.Context, f family[R, D], o Options) (*D, error) {
+	if o.MaxAttempts == 0 {
+		o.MaxAttempts = 8
+	}
+	if o.Poll == 0 {
+		o.Poll = 50 * time.Millisecond
+	}
+	doc, err := runShards(ctx, f, o)
 	if err != nil {
 		o.Events.Emit("cluster.error", obs.Fields{"error": err.Error()})
 		return nil, err
 	}
-	o.Events.Emit("cluster.done", obs.Fields{
-		"candidates": rep.Candidates,
-		"states":     rep.States,
-		"solvers":    len(rep.Solvers),
-		"refuted":    rep.Refuted,
-		"workers":    len(o.Workers),
-	})
-	return rep, nil
+	fields := f.doneFields(doc)
+	fields["workers"] = len(o.Workers)
+	o.Events.Emit("cluster.done", fields)
+	return doc, nil
 }
 
-func run(ctx context.Context, sp SweepSpec, o Options) (*SweepReport, error) {
-	p, err := sp.Prepare()
+func runShards[R, D any](ctx context.Context, f family[R, D], o Options) (*D, error) {
+	c, err := f.checker()
 	if err != nil {
 		return nil, err
 	}
-	n := p.Candidates()
-	bounds := shardBounds(n, o.shardCount(n), p.RowWidth())
-	if len(o.Workers) == 0 {
-		return runLocal(ctx, sp, p, bounds, o)
-	}
-	return runCluster(ctx, sp, n, bounds, o)
-}
-
-// runLocal checks every shard in-process, sequentially.
-func runLocal(ctx context.Context, sp SweepSpec, p *enumerate.Prepared, bounds [][2]int, o Options) (*SweepReport, error) {
-	vectors, err := sp.Vectors()
-	if err != nil {
-		return nil, err
-	}
-	opts, err := sp.Options()
-	if err != nil {
-		return nil, err
-	}
-	opts.Ctx = ctx
-	opts.Obs = o.Obs
-	opts.Events = o.Events
-	if o.PaceMs > 0 {
-		pace := time.Duration(o.PaceMs) * time.Millisecond
-		opts.OnProgress = func(enumerate.Progress) { time.Sleep(pace) }
-	}
-	shards := make([]*ShardReport, 0, len(bounds))
-	for _, b := range bounds {
-		rr, err := p.CheckRange(b[0], b[1], vectors, opts)
+	bounds := shardBounds(c.candidates, o.shardCount(c.candidates), c.rowWidth)
+	if len(o.Workers) > 0 {
+		shards, err := dispatchCluster(ctx, f, bounds, o)
 		if err != nil {
 			return nil, err
 		}
-		shards = append(shards, ShardReportOf(rr))
+		return f.merge(c.candidates, shards)
+	}
+	// In-process, sequentially: the single-daemon baseline through the
+	// same bounds and merge, so the two render identical bytes.
+	pace := pacer(o.PaceMs)
+	shards := make([]*R, 0, len(bounds))
+	for _, b := range bounds {
+		r, err := c.check(ctx, b[0], b[1], pace, o.Obs, o.Events)
+		if err != nil {
+			return nil, err
+		}
+		shards = append(shards, r)
 		o.Obs.Counter("cluster.shards").Inc()
 		o.Obs.Counter("cluster.candidates").Add(int64(b[1] - b[0]))
-		o.Obs.Counter("cluster.states").Add(int64(rr.States))
+		o.Obs.Counter("cluster.states").Add(int64(f.progress(r)))
 	}
-	return Merge(p.Candidates(), shards)
+	return f.merge(c.candidates, shards)
 }
 
-type shardResult struct {
+type shardResult[R any] struct {
 	idx     int
-	raw     []byte
-	states  int
+	rep     *R
 	worker  string
 	elapsed time.Duration
 	err     error
 }
 
-// shardProto abstracts one shard-job family over the dispatch loop:
-// sweep shards and collections shards share the pull-based load
-// balancing, retry, stealing, and backpressure machinery; only the job
-// payload and the result document differ.
-type shardProto struct {
-	// kind is the jobs-API job kind workers run.
-	kind string
-	// job builds the shard job spec for range [lo, hi).
-	job func(lo, hi int) any
-	// states validates a raw result document and extracts its progress
-	// figure (explored states for sweeps, decided collections for
-	// collections sweeps) for the cluster.* metrics and events. An
-	// error fails the attempt, so a worker returning garbage is retried
-	// like a dead one.
-	states func(raw []byte) (int, error)
-}
-
-// runCluster dispatches sweep shards to worker daemons and merges the
-// results into the canonical report.
-func runCluster(ctx context.Context, sp SweepSpec, candidates int, bounds [][2]int, o Options) (*SweepReport, error) {
-	proto := shardProto{
-		kind: "sweep-shard",
-		job:  func(lo, hi int) any { return ShardJob{Sweep: sp, Lo: lo, Hi: hi, PaceMs: o.PaceMs} },
-		states: func(raw []byte) (int, error) {
-			var sr ShardReport
-			if err := json.Unmarshal(raw, &sr); err != nil {
-				return 0, fmt.Errorf("cluster: bad shard result: %w", err)
-			}
-			return sr.States, nil
-		},
-	}
-	raws, err := dispatchCluster(ctx, bounds, proto, o)
-	if err != nil {
-		return nil, err
-	}
-	shards := make([]*ShardReport, len(raws))
-	for i, raw := range raws {
-		var sr ShardReport
-		if err := json.Unmarshal(raw, &sr); err != nil {
-			return nil, fmt.Errorf("cluster: shard [%d,%d) result: %w", bounds[i][0], bounds[i][1], err)
-		}
-		shards[i] = &sr
-	}
-	return Merge(candidates, shards)
-}
-
 // dispatchCluster runs one shard job per bounds entry across the
 // workers: pull-based load balancing (idle workers take the next
-// shard), requeue-with-attempts on any worker failure, and speculative
-// re-dispatch of in-flight shards once the queue drains (work
-// stealing). Returns the raw result documents in bounds order.
-func dispatchCluster(ctx context.Context, bounds [][2]int, proto shardProto, o Options) ([][]byte, error) {
+// shard) and requeue-with-attempts on any worker failure. Returns the
+// decoded shard results in bounds order.
+func dispatchCluster[R, D any](ctx context.Context, f family[R, D], bounds [][2]int, o Options) ([]*R, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	dispatch := make(chan int)
-	results := make(chan shardResult)
+	results := make(chan shardResult[R])
 	for _, w := range o.Workers {
-		go workerLoop(ctx, w, proto, bounds, o, dispatch, results)
+		go workerLoop(ctx, w, f, bounds, o, dispatch, results)
 	}
 	// Stop the workers before returning, whatever path exits.
 	defer cancel()
 
 	o.Obs.Gauge("cluster.workers").Set(int64(len(o.Workers)))
-	var (
-		queue     []int
-		done      = make([][]byte, len(bounds))
-		inflight  = make([]int, len(bounds))
-		fails     = make([]int, len(bounds))
-		remaining = len(bounds)
-	)
-	for i := range bounds {
-		queue = append(queue, i)
+	queue := make([]int, len(bounds))
+	for i := range queue {
+		queue[i] = i
 	}
-
-	for remaining > 0 {
-		// Only offer a dispatch when there is something to dispatch,
-		// and only arm the steal timer when there is not.
+	done := make([]*R, len(bounds))
+	fails := make([]int, len(bounds))
+	for remaining := len(bounds); remaining > 0; {
+		// Only offer a dispatch when there is something to dispatch.
 		var (
 			dispatchCh chan<- int
 			next       int
-			stealCh    <-chan time.Time
-			stealTimer *time.Timer
 		)
 		if len(queue) > 0 {
 			dispatchCh = dispatch
 			next = queue[0]
-		} else if o.StealAfter > 0 {
-			stealTimer = time.NewTimer(o.StealAfter)
-			stealCh = stealTimer.C
 		}
 
 		select {
@@ -364,33 +279,10 @@ func dispatchCluster(ctx context.Context, bounds [][2]int, proto shardProto, o O
 
 		case dispatchCh <- next:
 			queue = queue[1:]
-			inflight[next]++
-
-		case <-stealCh:
-			// Re-dispatch the least duplicated unfinished shard.
-			victim := -1
-			for i := range bounds {
-				if done[i] == nil && (victim < 0 || inflight[i] < inflight[victim]) {
-					victim = i
-				}
-			}
-			if victim >= 0 {
-				queue = append(queue, victim)
-				o.Obs.Counter("cluster.shards_stolen").Inc()
-				o.Events.Emit("cluster.shard.steal", obs.Fields{
-					"lo": bounds[victim][0], "hi": bounds[victim][1],
-					"inflight": inflight[victim],
-				})
-			}
 
 		case r := <-results:
-			inflight[r.idx]--
 			b := bounds[r.idx]
-			switch {
-			case done[r.idx] != nil:
-				// A steal already finished this shard; whether the losing
-				// copy succeeded or died, the first result won.
-			case r.err != nil:
+			if r.err != nil {
 				fails[r.idx]++
 				if fails[r.idx] >= o.MaxAttempts {
 					return nil, fmt.Errorf("cluster: shard [%d,%d) failed %d times, giving up: %w",
@@ -402,32 +294,32 @@ func dispatchCluster(ctx context.Context, bounds [][2]int, proto shardProto, o O
 					"lo": b[0], "hi": b[1], "worker": r.worker,
 					"attempt": fails[r.idx], "error": r.err.Error(),
 				})
-			default:
-				done[r.idx] = r.raw
-				remaining--
-				o.Obs.Counter("cluster.shards").Inc()
-				o.Obs.Counter("cluster.candidates").Add(int64(b[1] - b[0]))
-				o.Obs.Counter("cluster.states").Add(int64(r.states))
-				o.Obs.Histogram("cluster.shard_ms").Observe(r.elapsed.Milliseconds())
-				o.Events.Emit("cluster.shard.done", obs.Fields{
-					"lo": b[0], "hi": b[1], "worker": r.worker,
-					"states": r.states, "elapsed_ms": r.elapsed.Milliseconds(),
-				})
+				continue
 			}
-		}
-		if stealTimer != nil {
-			stealTimer.Stop()
+			done[r.idx] = r.rep
+			remaining--
+			progress := f.progress(r.rep)
+			o.Obs.Counter("cluster.shards").Inc()
+			o.Obs.Counter("cluster.candidates").Add(int64(b[1] - b[0]))
+			o.Obs.Counter("cluster.states").Add(int64(progress))
+			o.Obs.Histogram("cluster.shard_ms").Observe(r.elapsed.Milliseconds())
+			o.Events.Emit("cluster.shard.done", obs.Fields{
+				"lo": b[0], "hi": b[1], "worker": r.worker,
+				"states": progress, "elapsed_ms": r.elapsed.Milliseconds(),
+			})
 		}
 	}
 	return done, nil
 }
 
 // workerLoop serves one worker URL: take a shard, run it remotely,
-// deliver the outcome. Consecutive failures back off exponentially so
-// a dead worker — which fails in microseconds — doesn't outrace the
+// decode the result, deliver the outcome. A result that does not
+// decode fails the attempt, so a worker returning garbage is retried
+// like a dead one. Consecutive failures back off exponentially so a
+// dead worker — which fails in microseconds — doesn't outrace the
 // healthy workers for every requeued shard and burn through a shard's
 // attempt budget while they are busy.
-func workerLoop(ctx context.Context, base string, proto shardProto, bounds [][2]int, o Options, dispatch <-chan int, results chan<- shardResult) {
+func workerLoop[R, D any](ctx context.Context, base string, f family[R, D], bounds [][2]int, o Options, dispatch <-chan int, results chan<- shardResult[R]) {
 	consecFails := 0
 	for {
 		var idx int
@@ -436,17 +328,19 @@ func workerLoop(ctx context.Context, base string, proto shardProto, bounds [][2]
 			return
 		case idx = <-dispatch:
 		}
-		job := proto.job(bounds[idx][0], bounds[idx][1])
 		start := time.Now()
-		raw, err := runShardOn(ctx, base, proto.kind, job, o)
-		states := 0
+		raw, err := runShardOn(ctx, base, f.shardKind(), f.shardJob(bounds[idx][0], bounds[idx][1], o.PaceMs), o.Poll)
+		var rep *R
 		if err == nil {
-			states, err = proto.states(raw)
+			rep = new(R)
+			if err = json.Unmarshal(raw, rep); err != nil {
+				err = fmt.Errorf("cluster: bad %s result: %w", f.shardKind(), err)
+			}
 		}
 		select {
 		case <-ctx.Done():
 			return
-		case results <- shardResult{idx: idx, raw: raw, states: states, worker: base, elapsed: time.Since(start), err: err}:
+		case results <- shardResult[R]{idx: idx, rep: rep, worker: base, elapsed: time.Since(start), err: err}:
 		}
 		if err == nil {
 			consecFails = 0
@@ -464,29 +358,29 @@ func workerLoop(ctx context.Context, base string, proto shardProto, bounds [][2]
 // runShardOn runs one shard job on a worker daemon over the jobs API:
 // submit (honoring 429 Retry-After backpressure), poll to a terminal
 // state, fetch the raw result document.
-func runShardOn(ctx context.Context, base, kind string, job any, o Options) ([]byte, error) {
-	id, err := submitJob(ctx, base, kind, job, o)
+func runShardOn(ctx context.Context, base, kind string, job any, poll time.Duration) ([]byte, error) {
+	id, err := submitJob(ctx, base, kind, job)
 	if err != nil {
 		return nil, err
 	}
 	for {
-		j, err := getJob(ctx, base, id, o)
+		j, err := getJob(ctx, base, id)
 		if err != nil {
 			return nil, err
 		}
 		switch j.State {
 		case jobs.Done:
-			return fetchShardResult(ctx, base, id, o)
+			return fetchShardResult(ctx, base, id)
 		case jobs.Failed, jobs.Canceled:
 			return nil, fmt.Errorf("cluster: shard job %s on %s %s: %s", id, base, j.State, j.Error)
 		}
-		if err := sleepCtx(ctx, o.Poll); err != nil {
+		if err := sleepCtx(ctx, poll); err != nil {
 			return nil, err
 		}
 	}
 }
 
-func submitJob(ctx context.Context, base, kind string, spec any, o Options) (string, error) {
+func submitJob(ctx context.Context, base, kind string, spec any) (string, error) {
 	body, err := json.Marshal(map[string]any{"kind": kind, "spec": spec})
 	if err != nil {
 		return "", err
@@ -497,7 +391,7 @@ func submitJob(ctx context.Context, base, kind string, spec any, o Options) (str
 			return "", err
 		}
 		req.Header.Set("Content-Type", "application/json")
-		resp, err := o.Client.Do(req)
+		resp, err := client.Do(req)
 		if err != nil {
 			return "", err
 		}
@@ -537,12 +431,12 @@ func retryAfterHint(h string) time.Duration {
 	return time.Duration(secs) * time.Second
 }
 
-func getJob(ctx context.Context, base, id string, o Options) (*jobs.Job, error) {
+func getJob(ctx context.Context, base, id string) (*jobs.Job, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/jobs/"+id, nil)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := o.Client.Do(req)
+	resp, err := client.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -557,12 +451,12 @@ func getJob(ctx context.Context, base, id string, o Options) (*jobs.Job, error) 
 	return &j, nil
 }
 
-func fetchShardResult(ctx context.Context, base, id string, o Options) ([]byte, error) {
+func fetchShardResult(ctx context.Context, base, id string) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/jobs/"+id+"/result", nil)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := o.Client.Do(req)
+	resp, err := client.Do(req)
 	if err != nil {
 		return nil, err
 	}

@@ -3,7 +3,6 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"setagree/internal/enumerate"
 	"setagree/internal/value"
@@ -81,7 +80,7 @@ func ShardReportOf(rr *enumerate.RangeReport) *ShardReport {
 // pure function of the sweep spec: no timing, worker identity, or
 // shard boundaries appear, so the same spec renders byte-identically
 // whether it ran on one daemon or was sharded across a cluster —
-// including after shard retries and speculative steals.
+// including after shard retries.
 type SweepReport struct {
 	Candidates        int                 `json:"candidates"`
 	Pruned            int                 `json:"pruned"`
@@ -94,41 +93,35 @@ type SweepReport struct {
 }
 
 // Merge folds shard reports into the sweep document. The shards must
-// tile [0, candidates) exactly: sorted by range, exact-duplicate
-// ranges (retry and steal leftovers) collapse to one, gaps and
-// partial overlaps are errors, as is any disagreement on the
-// sweep-global pruned count. Failure is the lowest-indexed refuted
-// candidate across all shards, matching a full single sweep.
+// tile [0, candidates) exactly (enumerate.Tile: exact-duplicate ranges
+// collapse to one; gaps, overlaps, and ranges running backwards or
+// past the sweep are errors), every candidate a shard lists must lie
+// in the shard's range, solvers and inconclusive candidates in strictly
+// increasing order, and every shard must agree on the sweep-global
+// pruned count. Shard reports are bytes from other daemons; Merge
+// accepts nothing a real sweep could not have produced. Failure is the
+// lowest-indexed refuted candidate across all shards, matching a full
+// single sweep.
 func Merge(candidates int, shards []*ShardReport) (*SweepReport, error) {
-	sorted := make([]*ShardReport, len(shards))
-	copy(sorted, shards)
-	sort.Slice(sorted, func(a, b int) bool {
-		if sorted[a].Lo != sorted[b].Lo {
-			return sorted[a].Lo < sorted[b].Lo
-		}
-		return sorted[a].Hi < sorted[b].Hi
-	})
-
+	tiles, err := enumerate.Tile(candidates, shards, func(sh *ShardReport) (int, int) { return sh.Lo, sh.Hi })
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
 	rep := &SweepReport{
 		Candidates:   candidates,
 		Solvers:      []ShardSolver{},
 		Inconclusive: []ShardInconclusive{},
 	}
-	next := 0
-	for i, sh := range sorted {
-		if i > 0 && sh.Lo == sorted[i-1].Lo && sh.Hi == sorted[i-1].Hi {
-			continue // duplicate delivery of the same shard; results are deterministic
-		}
-		if sh.Lo != next {
-			if sh.Lo < next {
-				return nil, fmt.Errorf("cluster: shard [%d,%d) overlaps previous shard ending at %d", sh.Lo, sh.Hi, next)
-			}
-			return nil, fmt.Errorf("cluster: gap in shard cover: no shard for [%d,%d)", next, sh.Lo)
-		}
+	for i, sh := range tiles {
 		if i == 0 {
 			rep.Pruned = sh.Pruned
 		} else if sh.Pruned != rep.Pruned {
 			return nil, fmt.Errorf("cluster: shard [%d,%d) reports pruned=%d, earlier shards %d — specs differ", sh.Lo, sh.Hi, sh.Pruned, rep.Pruned)
+		}
+		if !increasing(sh.Lo, sh.Hi, sh.Solvers, func(s ShardSolver) int { return s.Index }) ||
+			!increasing(sh.Lo, sh.Hi, sh.Inconclusive, func(s ShardInconclusive) int { return s.Index }) ||
+			sh.Failure != nil && (sh.Failure.Index < sh.Lo || sh.Failure.Index >= sh.Hi) {
+			return nil, fmt.Errorf("cluster: shard [%d,%d) lists a candidate outside its range or out of order", sh.Lo, sh.Hi)
 		}
 		rep.States += sh.States
 		rep.SymmetryFallbacks += sh.SymmetryFallbacks
@@ -137,13 +130,23 @@ func Merge(candidates int, shards []*ShardReport) (*SweepReport, error) {
 		if sh.Failure != nil && (rep.Failure == nil || sh.Failure.Index < rep.Failure.Index) {
 			rep.Failure = sh.Failure
 		}
-		next = sh.Hi
-	}
-	if next != candidates {
-		return nil, fmt.Errorf("cluster: shard cover ends at %d, want %d candidates", next, candidates)
 	}
 	rep.Refuted = rep.Failure != nil
 	return rep, nil
+}
+
+// increasing reports whether the candidate indices of items lie in
+// [lo, hi) in strictly increasing order — the order CheckRange lists
+// them in.
+func increasing[T any](lo, hi int, items []T, index func(T) int) bool {
+	for _, it := range items {
+		i := index(it)
+		if i < lo || i >= hi {
+			return false
+		}
+		lo = i + 1
+	}
+	return true
 }
 
 // Render is the canonical byte encoding of the sweep document — the

@@ -1,24 +1,28 @@
 // Package cluster turns dacd daemons into a partitioned checking
-// cluster: a coordinator splits a falsification sweep into
-// candidate-range shards, dispatches them to worker daemons over the
-// jobs HTTP API, steals work from stragglers, retries shards lost to
-// worker death, and merges the shard reports into a document
-// byte-identical to a single-daemon run of the same sweep.
+// cluster: a coordinator splits a sweep into index-range shards,
+// dispatches them to worker daemons over the jobs HTTP API, retries
+// shards lost to worker death, and merges the shard reports into a
+// document byte-identical to a single-daemon run of the same sweep.
+// Falsification sweeps (SweepSpec) and set-consensus collections
+// sweeps (CollectionsSpec) are two families of one pipeline: each spec
+// supplies its job kind, preparation, range check and merge, and run
+// does the rest.
 //
 // The whole design leans on one invariant (pinned in
 // internal/enumerate's shard tests): candidate enumeration and
 // per-candidate verdicts are deterministic, so any process that builds
-// the same SweepSpec agrees on every candidate index, and shard
-// results merge without coordination — duplicates from retries or
-// speculative steals are simply discarded.
+// the same spec agrees on every candidate index, and shard results
+// merge without coordination.
 package cluster
 
 import (
+	"context"
 	"fmt"
 
 	"setagree/internal/enumerate"
 	"setagree/internal/explore"
 	"setagree/internal/objects"
+	"setagree/internal/obs"
 	"setagree/internal/spec"
 	"setagree/internal/task"
 	"setagree/internal/value"
@@ -324,4 +328,76 @@ func (sp SweepSpec) Prepare() (*enumerate.Prepared, error) {
 		return enumerate.PrepareDAC(fam, sp.Task.N, opts)
 	}
 	return enumerate.PrepareSymmetric(fam, tsk, opts)
+}
+
+// ShardJob is the "sweep-shard" job spec a coordinator submits to a
+// worker daemon: rebuild the sweep, check candidates [Lo, Hi).
+type ShardJob struct {
+	Sweep SweepSpec `json:"sweep"`
+	Lo    int       `json:"lo"`
+	Hi    int       `json:"hi"`
+	// PaceMs sleeps after each candidate — a test knob that stretches
+	// sweeps enough to kill a worker mid-shard.
+	PaceMs int `json:"pace_ms,omitempty"`
+}
+
+// RunShard checks one sweep shard in-process: the worker half of the
+// cluster protocol, also used directly by dacd's sweep-shard runner.
+func RunShard(ctx context.Context, job ShardJob, sink *obs.Sink, events *obs.Emitter) (*ShardReport, error) {
+	return runShard[ShardReport, SweepReport](ctx, job.Sweep, job.Lo, job.Hi, job.PaceMs, sink, events)
+}
+
+// Run executes the falsification sweep through the cluster pipeline
+// (see run) and returns the canonical SweepReport.
+func Run(ctx context.Context, sp SweepSpec, o Options) (*SweepReport, error) {
+	return run[ShardReport, SweepReport](ctx, sp, o)
+}
+
+func (sp SweepSpec) shardKind() string { return "sweep-shard" }
+
+func (sp SweepSpec) shardJob(lo, hi, paceMs int) any {
+	return ShardJob{Sweep: sp, Lo: lo, Hi: hi, PaceMs: paceMs}
+}
+
+func (sp SweepSpec) checker() (*rangeChecker[ShardReport], error) {
+	p, err := sp.Prepare()
+	if err != nil {
+		return nil, err
+	}
+	vectors, err := sp.Vectors()
+	if err != nil {
+		return nil, err
+	}
+	opts, err := sp.Options()
+	if err != nil {
+		return nil, err
+	}
+	check := func(ctx context.Context, lo, hi int, pace func(), sink *obs.Sink, events *obs.Emitter) (*ShardReport, error) {
+		opts := opts
+		opts.Ctx, opts.Obs, opts.Events = ctx, sink, events
+		if pace != nil {
+			opts.OnProgress = func(enumerate.Progress) { pace() }
+		}
+		rr, err := p.CheckRange(lo, hi, vectors, opts)
+		if err != nil {
+			return nil, err
+		}
+		return ShardReportOf(rr), nil
+	}
+	return &rangeChecker[ShardReport]{candidates: p.Candidates(), rowWidth: p.RowWidth(), check: check}, nil
+}
+
+func (sp SweepSpec) progress(sh *ShardReport) int { return sh.States }
+
+func (sp SweepSpec) merge(candidates int, shards []*ShardReport) (*SweepReport, error) {
+	return Merge(candidates, shards)
+}
+
+func (sp SweepSpec) doneFields(rep *SweepReport) obs.Fields {
+	return obs.Fields{
+		"candidates": rep.Candidates,
+		"states":     rep.States,
+		"solvers":    len(rep.Solvers),
+		"refuted":    rep.Refuted,
+	}
 }

@@ -364,6 +364,40 @@ func TestMergeRangesValidation(t *testing.T) {
 	if _, err := MergeRanges(space, tsk, 0, []*RangeReport{&bad, b}); err == nil {
 		t.Error("truncated shard accepted")
 	}
+
+	// Range reports are bytes from other daemons: every row must sit at
+	// its own index and the totals must agree with the rows.
+	forged := func(edit func(*RangeReport)) *RangeReport {
+		rr := *full
+		rr.Rows = append([]Row(nil), full.Rows...)
+		edit(&rr)
+		return &rr
+	}
+	for _, tc := range []struct {
+		name string
+		rr   *RangeReport
+	}{
+		{"every row claims index 0, solvable, header says none", forged(func(rr *RangeReport) {
+			for j := range rr.Rows {
+				rr.Rows[j].Index, rr.Rows[j].Solvable = 0, true
+			}
+			rr.Solvable = 0
+		})},
+		{"rows out of order", forged(func(rr *RangeReport) { rr.Rows[0], rr.Rows[1] = rr.Rows[1], rr.Rows[0] })},
+		{"solvable total disagrees", forged(func(rr *RangeReport) { rr.Solvable++ })},
+		{"pruned total disagrees", forged(func(rr *RangeReport) { rr.Pruned++ })},
+		{"range runs past the space", forged(func(rr *RangeReport) { rr.Hi++; rr.Rows = append(rr.Rows, rr.Rows[0]) })},
+	} {
+		if _, err := MergeRanges(space, tsk, 0, []*RangeReport{tc.rr}); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	if _, err := MergeRanges(space, tsk, 0, []*RangeReport{a, nil, b}); err == nil {
+		t.Error("nil shard accepted")
+	}
+	if _, err := MergeRanges(space, tsk, 0, []*RangeReport{forged(func(*RangeReport) {})}); err != nil {
+		t.Errorf("untouched copy of the full range rejected: %v", err)
+	}
 }
 
 func TestSweepRejectsBadInputs(t *testing.T) {

@@ -5,10 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
+	"setagree/internal/enumerate"
 	"setagree/internal/obs"
 	"setagree/internal/power"
 )
@@ -295,8 +295,11 @@ func Sweep(space Space, tsk Task, opts SweepOptions) (*Report, error) {
 }
 
 // MergeRanges assembles range reports tiling [0, Count()) into the
-// canonical Report. Exact duplicate ranges (cluster retries, steals)
-// collapse; gaps, overlaps, and out-of-range shards are errors.
+// canonical Report. The ranges must tile the space (enumerate.Tile:
+// exact duplicate ranges collapse; gaps, overlaps, and ranges running
+// backwards or past the space are errors), each must carry exactly its
+// rows in index order, and its Pruned and Solvable totals must agree
+// with those rows — range reports may be bytes from other daemons.
 func MergeRanges(space Space, tsk Task, levels int, ranges []*RangeReport) (*Report, error) {
 	if err := space.Validate(); err != nil {
 		return nil, err
@@ -308,39 +311,34 @@ func MergeRanges(space Space, tsk Task, levels int, ranges []*RangeReport) (*Rep
 		levels = 4
 	}
 	total := space.Count()
-	sorted := append([]*RangeReport(nil), ranges...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Lo != sorted[j].Lo {
-			return sorted[i].Lo < sorted[j].Lo
-		}
-		return sorted[i].Hi < sorted[j].Hi
-	})
+	tiles, err := enumerate.Tile(total, ranges, func(rr *RangeReport) (int, int) { return rr.Lo, rr.Hi })
+	if err != nil {
+		return nil, fmt.Errorf("collections: merge: %w", err)
+	}
 	rep := &Report{Space: space, Task: tsk, Levels: levels, Collections: total, Rows: []Row{}}
-	want := 0
-	for i, rr := range sorted {
-		if i > 0 && rr.Lo == sorted[i-1].Lo && rr.Hi == sorted[i-1].Hi {
-			// Duplicate shard: results are deterministic, drop it.
-			continue
-		}
-		if rr.Lo != want {
-			if rr.Lo < want {
-				return nil, fmt.Errorf("collections: merge: shard [%d,%d) overlaps previous end %d", rr.Lo, rr.Hi, want)
-			}
-			return nil, fmt.Errorf("collections: merge: gap [%d,%d) not covered", want, rr.Lo)
-		}
-		if rr.Hi > total {
-			return nil, fmt.Errorf("collections: merge: shard [%d,%d) outside space [0,%d)", rr.Lo, rr.Hi, total)
-		}
+	for _, rr := range tiles {
 		if len(rr.Rows) != rr.Hi-rr.Lo {
 			return nil, fmt.Errorf("collections: merge: shard [%d,%d) carries %d rows", rr.Lo, rr.Hi, len(rr.Rows))
 		}
+		pruned, solvable := 0, 0
+		for j, row := range rr.Rows {
+			if row.Index != rr.Lo+j {
+				return nil, fmt.Errorf("collections: merge: shard [%d,%d) row %d has index %d", rr.Lo, rr.Hi, j, row.Index)
+			}
+			if row.Pruned {
+				pruned++
+			}
+			if row.Solvable {
+				solvable++
+			}
+		}
+		if pruned != rr.Pruned || solvable != rr.Solvable {
+			return nil, fmt.Errorf("collections: merge: shard [%d,%d) totals pruned=%d solvable=%d, its rows %d and %d",
+				rr.Lo, rr.Hi, rr.Pruned, rr.Solvable, pruned, solvable)
+		}
 		rep.Rows = append(rep.Rows, rr.Rows...)
-		rep.Pruned += rr.Pruned
-		rep.Solvable += rr.Solvable
-		want = rr.Hi
-	}
-	if want != total {
-		return nil, fmt.Errorf("collections: merge: shards cover [0,%d) of [0,%d)", want, total)
+		rep.Pruned += pruned
+		rep.Solvable += solvable
 	}
 	return rep, nil
 }

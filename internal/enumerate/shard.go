@@ -2,6 +2,7 @@ package enumerate
 
 import (
 	"fmt"
+	"sort"
 
 	"setagree/internal/machine"
 	"setagree/internal/obs"
@@ -223,6 +224,55 @@ type RangeReport struct {
 	// Failure is the lowest-indexed refuted candidate in the range,
 	// nil when every candidate solved or stayed unsettled.
 	Failure *RangeFailure
+}
+
+// Tile orders range results by [lo, hi), drops exact duplicate
+// ranges (a range delivered twice carries the same deterministic
+// result), and checks that the rest tile [0, n) exactly: no nil
+// result, no gap, no overlap, no range running backwards or past n.
+// It is the cover check every merge of range results shares — sweep
+// shards here and collections shards alike.
+func Tile[T any](n int, ranges []*T, span func(*T) (lo, hi int)) ([]*T, error) {
+	for _, r := range ranges {
+		if r == nil {
+			return nil, fmt.Errorf("missing range result")
+		}
+	}
+	sorted := append([]*T(nil), ranges...)
+	sort.Slice(sorted, func(a, b int) bool {
+		la, ha := span(sorted[a])
+		lb, hb := span(sorted[b])
+		if la != lb {
+			return la < lb
+		}
+		return ha < hb
+	})
+	out := make([]*T, 0, len(sorted))
+	next := 0
+	for i, r := range sorted {
+		lo, hi := span(r)
+		if i > 0 {
+			if plo, phi := span(sorted[i-1]); lo == plo && hi == phi {
+				continue
+			}
+		}
+		switch {
+		case lo < next:
+			return nil, fmt.Errorf("range [%d,%d) overlaps the previous range ending at %d", lo, hi, next)
+		case lo > next:
+			return nil, fmt.Errorf("gap in range cover: nothing covers [%d,%d)", next, lo)
+		case hi < lo:
+			return nil, fmt.Errorf("range [%d,%d) runs backwards", lo, hi)
+		case hi > n:
+			return nil, fmt.Errorf("range [%d,%d) runs past %d candidates", lo, hi, n)
+		}
+		out = append(out, r)
+		next = hi
+	}
+	if next != n {
+		return nil, fmt.Errorf("range cover ends at %d, want %d candidates", next, n)
+	}
+	return out, nil
 }
 
 // CheckRange model-checks candidates [lo, hi) on every input vector
