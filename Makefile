@@ -35,10 +35,14 @@ test:
 # accepting a negative, i.e. unbounded, budget; FuzzMerge holds the
 # cluster's shard merge — where shard results from other daemons
 # become a verdict — to never panicking and never accepting a report
-# that lists a candidate outside the sweep or out of order.
+# that lists a candidate outside the sweep or out of order;
+# FuzzResume holds explore.Resume — whose restored edges the explorer's
+# edge log then trusts — to never panicking and to returning only typed
+# errors on any payload rewrapped in a valid snapshot container.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseBudget$$' -fuzztime 5s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzMerge$$' -fuzztime 5s ./internal/cluster
+	$(GO) test -run '^$$' -fuzz '^FuzzResume$$' -fuzztime 5s ./internal/explore
 
 # The two pinned-worker runs re-execute the symmetry soundness suite
 # (reduced-vs-unreduced verdict equality + witness replay) under the

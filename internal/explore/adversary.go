@@ -72,11 +72,8 @@ func (r *Report) Adversary() (*AdversaryResult, error) {
 	for len(queue) > 0 {
 		at := queue[0]
 		queue = queue[1:]
-		for it := g.edgeIter(at); ; {
-			e, ok := it.next()
-			if !ok {
-				break
-			}
+		var e edge
+		for it := g.edgeIter(at); it.next(&e); {
 			if !g.valence[e.to].Bivalent() {
 				continue
 			}
@@ -109,11 +106,8 @@ func (r *Report) Adversary() (*AdversaryResult, error) {
 		for len(q) > 0 {
 			at := q[0]
 			q = q[1:]
-			for it := g.edgeIter(at); ; {
-				e, ok := it.next()
-				if !ok {
-					break
-				}
+			var e edge
+			for it := g.edgeIter(at); it.next(&e); {
 				if _, in := region[e.to]; !in {
 					continue
 				}
@@ -151,9 +145,10 @@ func (r *Report) Adversary() (*AdversaryResult, error) {
 	}
 	frames := []frame{{at: 0, it: g.edgeIter(0)}}
 	color[0] = gray
+	var e edge
 	for len(frames) > 0 {
 		f := &frames[len(frames)-1]
-		if e, ok := f.it.next(); ok {
+		if f.it.next(&e) {
 			if _, in := region[e.to]; !in {
 				continue
 			}
@@ -178,11 +173,8 @@ func (r *Report) Adversary() (*AdversaryResult, error) {
 	// and acyclic).
 	for id := range region {
 		critical := true
-		for it := g.edgeIter(id); ; {
-			e, ok := it.next()
-			if !ok {
-				break
-			}
+		var e edge
+		for it := g.edgeIter(id); it.next(&e); {
 			if g.valence[e.to].Bivalent() {
 				critical = false
 				break

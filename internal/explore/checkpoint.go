@@ -164,16 +164,17 @@ func (st *search) addCkptNs(d time.Duration) {
 // decode a bounded prefix), then the spanning tree, then the edge lists
 // of the expanded configurations.
 //
-// Both payload sections only grow between barriers — configurations
-// are interned append-only and a configuration's edge list is final
-// once its level is expanded — so the encoded section bytes are cached
-// on the search and each snapshot encodes just the delta since the
-// previous one. The sections are returned by reference for
-// checkpoint.WriteV, not assembled into one payload: the background
-// writer reads them while the BFS explores on, which is safe because
-// only the next encodeSnapshot call appends to them and every caller
-// drains the in-flight write first (see writeCheckpoint). The file is
-// still rewritten whole — the snapshot stays one atomic,
+// The tree only grows between barriers — configurations are interned
+// append-only — so its encoded bytes are cached on the search and each
+// snapshot encodes just the delta since the previous one. The edge
+// section needs no encoding at all: it is the edge log's durable
+// prefix, already in this format. The sections are returned by
+// reference for checkpoint.WriteV, not assembled into one payload: the
+// background writer reads them while the BFS explores on, which is safe
+// because only the next encodeSnapshot call appends to the tree cache,
+// the merge appends to the log only beyond the durable prefix, and
+// every caller drains the in-flight write first (see writeCheckpoint).
+// The file is still rewritten whole — the snapshot stays one atomic,
 // self-checksummed unit.
 func (st *search) encodeSnapshot() [][]byte {
 	g := st.g
@@ -184,28 +185,11 @@ func (st *search) encodeSnapshot() [][]byte {
 	}
 	for id := first; id < len(g.configs); id++ {
 		n := len(buf)
-		buf = slices.Grow(buf, treeRecMax)[:n+treeRecMax]
+		buf = slices.Grow(buf, recMax)[:n+recMax]
 		i := putV(buf, n, int64(g.parent[id]))
 		buf = buf[:putStep(buf, i, g.parentE[id])]
 	}
 	st.ckptTree, st.ckptTreeN = buf, len(g.configs)
-	if g.disk == nil {
-		buf = st.ckptEdges
-		for id := st.ckptEdgeN; id < st.expanded; id++ {
-			es := g.edges[id]
-			n := len(buf)
-			rec := binary.MaxVarintLen64 + len(es)*edgeRecMax
-			buf = slices.Grow(buf, rec)[:n+rec]
-			i := putV(buf, n, int64(len(es)))
-			for _, en := range es {
-				i = putV(buf, i, int64(en.to))
-				i = putStep(buf, i, en.step)
-				i = putV(buf, i, int64(en.g))
-			}
-			buf = buf[:i]
-		}
-		st.ckptEdges, st.ckptEdgeN = buf, st.expanded
-	}
 
 	e := checkpoint.Enc{Buf: st.ckptBuf[:0]}
 	e.Byte(byte(st.opts.Symmetry))
@@ -225,34 +209,21 @@ func (st *search) encodeSnapshot() [][]byte {
 	e.Varint(st.opts.Events.Seq())
 	e.Int(len(g.configs))
 	st.ckptBuf = e.Buf
-	if d := g.disk; d != nil {
-		// The Edges arena already holds the expanded configurations'
-		// edge lists in exactly this section's encoding; serve the
-		// durable prefix zero-copy. The chunk views stay stable while
-		// the background writer reads them: later merges only append at
-		// or beyond edgeDurable.
-		return append([][]byte{e.Buf, st.ckptTree}, d.s.Edges.Sections(d.edgeDurable)...)
-	}
-	return [][]byte{e.Buf, st.ckptTree, st.ckptEdges}
+	return append([][]byte{e.Buf, st.ckptTree}, g.durableEdges()...)
 }
 
-// Upper bounds on one encoded record, for the single capacity
-// reservation each encodeSnapshot append makes: a Step is one raw byte
-// plus six varints; tree records prepend the parent id, edge records
-// add the target and group index.
-const (
-	stepLenMax = 1 + 6*binary.MaxVarintLen64
-	treeRecMax = binary.MaxVarintLen64 + stepLenMax
-	edgeRecMax = 2*binary.MaxVarintLen64 + stepLenMax
-)
+// recMax bounds one encoded tree or edge record, for the single
+// capacity reservation each record's encoder makes: a Step is one raw
+// byte plus six varints; a tree record prepends the parent id, an edge
+// record the target and appends the group index.
+const recMax = 1 + 8*binary.MaxVarintLen64
 
 // putV writes the signed varint v at buf[i:] (the caller has reserved
 // room) and returns the end offset — byte-identical to
 // binary.PutVarint, with the dominant one-byte case inlined. Together
-// with the single capacity reservation per record this keeps the
-// snapshot encoder off the per-byte grow checks and per-field call
-// overhead of append-style encoding, which otherwise dominate the
-// barrier stall on snapshot-sized graphs.
+// with the single capacity reservation per record this keeps the tree
+// and edge encoders off the per-byte grow checks and per-field call
+// overhead of append-style encoding.
 func putV(buf []byte, i int, v int64) int {
 	u := uint64(v<<1) ^ uint64(v>>63)
 	if u < 0x80 {
@@ -404,11 +375,11 @@ func (st *search) restore(path string) error {
 			return err
 		}
 	}
+	nobj := len(g.sys.Objects)
 	for id := 0; id < expanded; id++ {
-		// In disk mode the validated record bytes — already in the edge
-		// arena's encoding — are appended to it verbatim at the end of
-		// this iteration.
-		recStart := len(payload) - d.Len()
+		// The edge log's decoder trusts what it reads, so every field a
+		// graph walk indexes by is range-checked before the validated
+		// edges are appended to the log verbatim.
 		cnt := d.Int()
 		if err := d.Err(); err != nil {
 			return err
@@ -416,6 +387,7 @@ func (st *search) restore(path string) error {
 		if cnt < 0 || cnt > d.Len() {
 			return corruptf("config %d: implausible edge count %d", id, cnt)
 		}
+		bodyStart := len(payload) - d.Len()
 		for k := 0; k < cnt; k++ {
 			to := d.Int()
 			s := decodeStep(d)
@@ -426,31 +398,22 @@ func (st *search) restore(path string) error {
 			if to < 0 || to >= numConfigs {
 				return corruptf("config %d: edge to %d out of range", id, to)
 			}
+			if s.Proc < 0 || s.Proc >= n || s.Obj < 0 || s.Obj >= nobj || s.Branch < 0 {
+				return corruptf("config %d: edge step %v out of range", id, s)
+			}
 			if gi < 0 || gi >= max(order, 1) {
 				return corruptf("config %d: edge group index %d out of range", id, gi)
 			}
-			if g.disk == nil {
-				g.edges[id] = append(g.edges[id], edge{to: to, step: s, g: gi})
-			}
 		}
-		if dk := g.disk; dk != nil {
-			off, err := dk.s.Edges.Append(payload[recStart : len(payload)-d.Len()])
-			if err != nil {
-				return err
-			}
-			dk.edgeOff = append(dk.edgeOff, off)
+		if err := g.logEdges(cnt, payload[bodyStart:len(payload)-d.Len()]); err != nil {
+			return err
 		}
-	}
-	if err := d.Err(); err != nil {
-		return err
 	}
 	if d.Len() != 0 {
 		return corruptf("%d trailing payload bytes", d.Len())
 	}
-	if dk := g.disk; dk != nil {
-		dk.edgeDurable = dk.s.Edges.Len()
-		g.spillExpanded(1, expanded)
-	}
+	g.edgeDurable = g.edgeLen()
+	g.spillExpanded(1, expanded)
 
 	st.level = level
 	st.expanded = expanded

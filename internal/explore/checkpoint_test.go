@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -16,6 +17,7 @@ import (
 	"setagree/internal/explore"
 	"setagree/internal/obs"
 	"setagree/internal/programs"
+	"setagree/internal/store"
 	"setagree/internal/task"
 	"setagree/internal/value"
 )
@@ -23,7 +25,7 @@ import (
 // durableInstance is the pinned kill-resume instance: Algorithm 2 at
 // n=4 with a mixed input vector, so the graph has nontrivial depth,
 // both decision values, and (for symmetry=ids) a nontrivial group.
-func durableInstance(t *testing.T) (*explore.System, task.Task) {
+func durableInstance(t testing.TB) (*explore.System, task.Task) {
 	t.Helper()
 	prot := programs.Algorithm2(4, 1)
 	sys, err := prot.System([]value.Value{0, 1, 0, 1})
@@ -339,21 +341,7 @@ func TestResumeRejections(t *testing.T) {
 	sys, tsk := durableInstance(t)
 	dir := t.TempDir()
 	ckptPath := filepath.Join(dir, "run.ckpt")
-	opts := explore.Options{
-		Workers: 2,
-		Checkpoint: explore.CheckpointOptions{
-			Path: ckptPath,
-			After: func(level int) error {
-				if level == 2 {
-					return errKilled
-				}
-				return nil
-			},
-		},
-	}
-	if _, err := explore.Check(sys, tsk, opts); !errors.Is(err, errKilled) {
-		t.Fatalf("killed Check returned %v", err)
-	}
+	killedAtLevel2(t, ckptPath, explore.Options{Workers: 2})
 	raw, err := os.ReadFile(ckptPath)
 	if err != nil {
 		t.Fatal(err)
@@ -420,6 +408,30 @@ func TestResumeRejections(t *testing.T) {
 		t.Errorf("foreign kind: %v, want ErrKind", err)
 	}
 
+	// CRC-valid snapshots whose edge steps index past the system: the
+	// graph walks index by Proc (liveness, symmetry lifting) and the
+	// edge log trusts its records, so restore must reject them.
+	_, payload := readSnapshot(t, ckptPath)
+	objs := len(sys.Objects)
+	for _, tc := range []struct {
+		name string
+		mut  func(*explore.Step)
+	}{
+		{"proc 60", func(s *explore.Step) { s.Proc = 60 }},
+		{"proc -1", func(s *explore.Step) { s.Proc = -1 }},
+		{"obj past objects", func(s *explore.Step) { s.Obj = objs }},
+		{"obj -1", func(s *explore.Step) { s.Obj = -1 }},
+		{"branch -1", func(s *explore.Step) { s.Branch = -1 }},
+	} {
+		p := filepath.Join(dir, "edge.ckpt")
+		if err := checkpoint.Write(p, h, rewriteFirstEdge(t, payload, tc.mut)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := explore.Resume(p, sys, tsk, explore.Options{}); !errors.Is(err, checkpoint.ErrCorrupt) {
+			t.Errorf("self-loop edge with %s: %v, want ErrCorrupt", tc.name, err)
+		}
+	}
+
 	// A rejected snapshot must also fail PeekCheckpoint cleanly.
 	if _, err := explore.PeekCheckpoint(write("peek.ckpt", flipped)); !errors.Is(err, checkpoint.ErrCorrupt) {
 		t.Errorf("PeekCheckpoint on damage: %v, want ErrCorrupt", err)
@@ -435,6 +447,162 @@ func TestResumeRejections(t *testing.T) {
 		t.Fatalf("Resume of intact snapshot: %v", err)
 	}
 	sameReport(t, "intact resume", resRep, refRep)
+}
+
+// readSnapshot returns the header and payload of the snapshot at path.
+func readSnapshot(t testing.TB, path string) (checkpoint.Header, []byte) {
+	t.Helper()
+	h, payload, err := checkpoint.ReadUnverified(path, "explore.bfs", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h, payload
+}
+
+// rewriteFirstEdge returns payload with config 0's first edge turned
+// into a self-loop whose step is the original one edited by mut. It
+// walks the payload layout: the counters, the spanning tree, then the
+// edge lists.
+func rewriteFirstEdge(t *testing.T, payload []byte, mut func(*explore.Step)) []byte {
+	t.Helper()
+	d := checkpoint.NewDec(payload)
+	d.Byte() // symmetry mode
+	for range 9 {
+		d.Int() // group order through orbitMax
+	}
+	d.Varint() // event sequence
+	configs := d.Int()
+	step := func() (s explore.Step) {
+		s.Op.Method = value.Method(d.Byte())
+		s.Op.Arg = value.Value(d.Varint())
+		s.Op.Label = d.Int()
+		s.Resp = value.Value(d.Varint())
+		s.Proc, s.Obj, s.Branch = d.Int(), d.Int(), d.Int()
+		return s
+	}
+	for range configs - 1 {
+		d.Int() // parent
+		step()
+	}
+	if d.Int() < 1 {
+		t.Fatal("root has no edges")
+	}
+	start := len(payload) - d.Len()
+	d.Int() // target
+	s := step()
+	d.Int() // group index
+	if err := d.Err(); err != nil {
+		t.Fatal(err)
+	}
+	end := len(payload) - d.Len()
+	mut(&s)
+	e := checkpoint.Enc{Buf: append([]byte(nil), payload[:start]...)}
+	e.Int(0)
+	e.Byte(byte(s.Op.Method))
+	e.Varint(int64(s.Op.Arg))
+	e.Int(s.Op.Label)
+	e.Varint(int64(s.Resp))
+	e.Int(s.Proc)
+	e.Int(s.Obj)
+	e.Int(s.Branch)
+	e.Int(0)
+	return append(e.Buf, payload[end:]...)
+}
+
+// goldenSnapshot is durableInstance's snapshot at its level-2 barrier
+// (Workers 1, no events), written by an earlier build of this package.
+// It pins the snapshot format across commits, not only across backends
+// within one, and seeds FuzzResume.
+const goldenSnapshot = "testdata/alg2-n4-level2.ckpt"
+
+// killedAtLevel2 runs durableInstance with snapshots into path until
+// the level-2 barrier's After hook stops it.
+func killedAtLevel2(t *testing.T, path string, opts explore.Options) {
+	t.Helper()
+	sys, tsk := durableInstance(t)
+	opts.Checkpoint = explore.CheckpointOptions{
+		Path: path,
+		After: func(level int) error {
+			if level == 2 {
+				return errKilled
+			}
+			return nil
+		},
+	}
+	rep, err := explore.Check(sys, tsk, opts)
+	if !errors.Is(err, errKilled) {
+		t.Fatalf("killed Check returned %v", err)
+	}
+	rep.Close()
+}
+
+// TestGoldenSnapshot: on both backends, Check writes the golden
+// snapshot's bytes at the same barrier, and resuming the golden file
+// reproduces the uninterrupted run.
+func TestGoldenSnapshot(t *testing.T) {
+	t.Parallel()
+	golden, err := os.ReadFile(goldenSnapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, tsk := durableInstance(t)
+	refRep, err := explore.Check(sys, tsk, explore.Options{Workers: 1, Valency: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, disk := range []bool{false, true} {
+		t.Run(fmt.Sprintf("store=%t", disk), func(t *testing.T) {
+			opts := explore.Options{Workers: 1, Valency: true}
+			if disk {
+				opts.Store = store.Options{Dir: t.TempDir()}
+			}
+			path := filepath.Join(t.TempDir(), "run.ckpt")
+			killedAtLevel2(t, path, opts)
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, golden) {
+				t.Errorf("level-2 snapshot differs from %s (%d vs %d bytes)", goldenSnapshot, len(got), len(golden))
+			}
+			rep, err := explore.Resume(goldenSnapshot, sys, tsk, opts)
+			if err != nil {
+				t.Fatalf("Resume(%s): %v", goldenSnapshot, err)
+			}
+			defer rep.Close()
+			sameReport(t, "golden resume", rep, refRep)
+		})
+	}
+}
+
+// FuzzResume holds Resume to never panicking on an arbitrary payload,
+// and to returning only typed errors. Each input is rewrapped in a
+// valid container under the golden snapshot's header, so the CRC does
+// not shield the section decoders. Successful resumes also run the
+// graph walks that read restored edges: valency, DOT, the adversary.
+func FuzzResume(f *testing.F) {
+	h, payload := readSnapshot(f, goldenSnapshot)
+	f.Add(payload)
+	sys, tsk := durableInstance(f)
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		path := filepath.Join(t.TempDir(), "fuzz.ckpt")
+		if err := checkpoint.Write(path, h, payload); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := explore.Resume(path, sys, tsk, explore.Options{Workers: 1, Valency: true})
+		if err != nil {
+			if !errors.Is(err, checkpoint.ErrCorrupt) {
+				t.Fatalf("untyped Resume error: %v", err)
+			}
+			return
+		}
+		if err := rep.WriteDOT(io.Discard, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rep.Adversary(); err != nil && !errors.Is(err, explore.ErrNoValency) {
+			t.Fatalf("untyped Adversary error: %v", err)
+		}
+	})
 }
 
 // TestResumeAcrossWorkerCounts checks a snapshot written at one worker

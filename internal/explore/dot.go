@@ -47,11 +47,8 @@ func (r *Report) WriteDOT(w io.Writer, maxNodes int) error {
 		fmt.Fprintf(&b, "  c%d [label=\"%d\"%s];\n", id, id, attrs)
 	}
 	for from := 0; from < n; from++ {
-		for it := g.edgeIter(from); ; {
-			e, ok := it.next()
-			if !ok {
-				break
-			}
+		var e edge
+		for it := g.edgeIter(from); it.next(&e); {
 			if e.to >= n {
 				// Truncation dropped the target node; emitting the edge
 				// would reference an undeclared (dangling) node id.

@@ -90,13 +90,14 @@ type Options struct {
 	// Checkpoint configures durable snapshots of the BFS (see
 	// CheckpointOptions); the zero value disables them.
 	Checkpoint CheckpointOptions
-	// Store, when enabled, spills the interning table, per-configuration
-	// outcome metadata, and the edge lists of completed BFS levels to
-	// the disk-backed configuration store (see internal/store), keeping
-	// only the active frontier hot in memory. Reports, witnesses,
-	// valency labels, DOT output, events, and checkpoint files are
-	// byte-identical to the in-memory engine at any worker count; only
-	// the store.* observability counters differ. The zero value keeps
+	// Store, when enabled, spills the interning table and
+	// per-configuration outcome metadata of completed BFS levels to the
+	// disk-backed configuration store (see internal/store), and keeps
+	// the edge log in its Edges arena instead of the heap, so only the
+	// active frontier stays hot in memory. Reports, witnesses, valency
+	// labels, DOT output, events, and checkpoint files are
+	// byte-identical to an in-memory run at any worker count; only the
+	// store.* observability counters differ. The zero value keeps
 	// everything in memory. Callers of a disk-backed exploration own the
 	// returned Report's store and must Close it.
 	Store store.Options
@@ -252,16 +253,19 @@ func (r *Report) Solved() bool { return len(r.Violations) == 0 }
 // a zero-copy probe, so only fresh configurations allocate a key.
 // Without symmetry, expansion never builds a successor Config: the
 // merge builds one only for a successor it interns, carved from slab.
-// With a disk store (disk != nil) the ids map and edges lists are
-// unused: keys live in the store's hash table, edge lists in its Edges
-// arena, and expanded configs entries are nil after their level's
-// spill.
+// With a disk store (disk != nil) the ids map is unused — keys live in
+// the store's hash table — and expanded configs entries are nil after
+// their level's spill.
+//
+// Edges exist only as the edge log (see store.go): one encoded record
+// per expanded configuration, appended in id order by the merge (or by
+// restore), in the store's Edges arena on a disk-backed run and in
+// edgeHeap otherwise. edgeIter decodes them on demand.
 type graph struct {
 	sys     *System
 	tsk     task.Task
 	configs []*Config
 	ids     map[string]int
-	edges   [][]edge   // adjacency: edges[from] (in-memory mode)
 	parent  []int      // BFS tree: parent config id (-1 for root)
 	parentE []Step     // BFS tree: step from parent
 	valence []Valence  // per-config valence, populated by valency()
@@ -269,8 +273,20 @@ type graph struct {
 	canon   []int      // per config: group index g with perms[g]·config canonical
 	disk    *diskState // disk-backed store, nil when Options.Store is off
 	slab    configSlab // backing for successors the merge interns
+
+	// edgeOff[id] locates config id's record in the edge log; each
+	// record ends where the next one starts (or at the log's end).
+	edgeOff []int64
+	// edgeDurable is the log prefix covered by completed level
+	// barriers. Snapshots serialize exactly this prefix; the merge of a
+	// partially-failed level may append beyond it, and those bytes never
+	// enter a snapshot.
+	edgeDurable int64
+	edgeHeap    []byte // the edge log when disk == nil
+	edgeRec     []byte // single-threaded merge scratch
 }
 
+// edge is one decoded edge-log entry.
 type edge struct {
 	to   int
 	step Step
@@ -447,14 +463,11 @@ type search struct {
 	fp          uint64 // memoized system fingerprint (see fingerprint)
 	fpSet       bool
 
-	// Append-only snapshot section caches (see encodeSnapshot): the
-	// encoded spanning-tree entries for ids [1, ckptTreeN), the encoded
-	// edge lists for ids [0, ckptEdgeN), and the counters-section
-	// scratch reused across snapshots.
+	// Snapshot section caches (see encodeSnapshot): the append-only
+	// encoded spanning-tree entries for ids [1, ckptTreeN), and the
+	// counters-section scratch reused across snapshots.
 	ckptTree  []byte
 	ckptTreeN int
-	ckptEdges []byte
-	ckptEdgeN int
 	ckptBuf   []byte
 
 	// levelHist, when metrics are enabled, receives each level's
@@ -577,12 +590,10 @@ func (st *search) bfs() error {
 			st.levelHist.ObserveDuration(time.Since(levelT0))
 		}
 		st.expanded = levelEnd
-		if d := g.disk; d != nil {
-			// The Edges arena now holds exactly the records of the
-			// expanded configurations; snapshots serialize this prefix
-			// while later merges append beyond it.
-			d.edgeDurable = d.s.Edges.Len()
-		}
+		// The edge log now holds exactly the records of the expanded
+		// configurations; snapshots serialize this prefix while later
+		// merges append beyond it.
+		g.edgeDurable = g.edgeLen()
 		if frontier := len(g.configs) - st.expanded; frontier > st.frontierMax {
 			st.frontierMax = frontier
 		}
@@ -882,7 +893,6 @@ func (st *search) mergeLevel(outs []*shardOut) error {
 		return firstErr
 	}
 	g, rep := st.g, st.rep
-	d := g.disk
 	n, keyBytes := 0, 0
 	for _, out := range outs {
 		st.symHits += out.symHits
@@ -907,13 +917,9 @@ func (st *search) mergeLevel(outs []*shardOut) error {
 			// cover read and successor construction below are safe in
 			// both backends.
 			parent := g.configs[at]
-			var rec []byte
-			if d != nil {
-				rec = d.edgeRec[:0]
-			} else if g.edges[at] == nil && len(succs) > 0 {
-				g.edges[at] = make([]edge, 0, len(succs))
-			}
-			merged := 0
+			rec := reserved(g.edgeRec, len(succs)*recMax)[:len(succs)*recMax]
+			g.edgeRec = rec
+			merged, end := 0, 0
 			var stop error
 			for i := range succs {
 				s := &succs[i]
@@ -951,13 +957,7 @@ func (st *search) mergeLevel(outs []*shardOut) error {
 					// so D = perms[inv(s.gi) ∘ canon[id]]·R_id.
 					gi = g.grp.comp[g.grp.inv[s.gi]][g.canon[id]]
 				}
-				if d != nil {
-					rec = appendV(rec, int64(id))
-					rec = appendStep(rec, s.step)
-					rec = appendV(rec, int64(gi))
-				} else {
-					g.edges[at] = append(g.edges[at], edge{to: id, step: s.step, g: gi})
-				}
+				end = putEdge(rec, end, edge{to: id, step: s.step, g: gi})
 				merged++
 				rep.Transitions++
 				if fresh && len(g.configs) > st.opts.MaxStates {
@@ -968,24 +968,13 @@ func (st *search) mergeLevel(outs []*shardOut) error {
 					break
 				}
 			}
-			if d != nil {
-				// One arena append per configuration — the whole edge
-				// batch, count-prefixed in the checkpoint section format
-				// — rather than one write per successor. On an aborted
-				// merge the truncated record still lands, so the partial
-				// graph matches the in-memory engine's edge for edge; it
-				// never enters a snapshot (edgeDurable only advances at
-				// completed barriers).
-				d.edgeRec = rec
-				var hdr [binary.MaxVarintLen64]byte
-				off, err := d.s.Edges.Append(hdr[:binary.PutVarint(hdr[:], int64(merged))])
-				if err == nil {
-					_, err = d.s.Edges.Append(rec)
-				}
-				if err != nil {
-					return err
-				}
-				d.edgeOff = append(d.edgeOff, off)
+			// One log append per configuration — the whole edge batch —
+			// rather than one per successor. On an aborted merge the
+			// truncated record still lands, so the partial graph keeps
+			// every tallied transition; it never enters a snapshot
+			// (edgeDurable only advances at completed barriers).
+			if err := g.logEdges(merged, rec[:end]); err != nil {
+				return err
 			}
 			if stop != nil {
 				return stop

@@ -62,11 +62,8 @@ func (g *graph) checkLiveness(rep *Report) {
 	if !live.WaitFree && !isDAC {
 		sccStepping = make(map[int]uint64)
 		for from := range g.configs {
-			for it := g.edgeIter(from); ; {
-				e, ok := it.next()
-				if !ok {
-					break
-				}
+			var e edge
+			for it := g.edgeIter(from); it.next(&e); {
 				if comp[from] == comp[e.to] {
 					sccStepping[comp[from]] |= 1 << uint(e.step.Proc)
 				}
@@ -77,11 +74,8 @@ func (g *graph) checkLiveness(rep *Report) {
 	// Cycle-based obligations. An SCC is cyclic if it has an internal
 	// edge (size > 1, or a self loop).
 	for from := range g.configs {
-		for it := g.edgeIter(from); ; {
-			e, ok := it.next()
-			if !ok {
-				break
-			}
+		var e edge
+		for it := g.edgeIter(from); it.next(&e); {
 			if comp[from] != comp[e.to] {
 				continue
 			}
@@ -163,11 +157,8 @@ func (g *graph) soloCycle(from, to, i int, comp []int) bool {
 	for len(queue) > 0 {
 		at := queue[0]
 		queue = queue[1:]
-		for it := g.edgeIter(at); ; {
-			e, ok := it.next()
-			if !ok {
-				break
-			}
+		var e edge
+		for it := g.edgeIter(at); it.next(&e); {
 			if e.step.Proc != i || comp[e.to] != comp[at] || seen[e.to] {
 				continue
 			}
@@ -198,11 +189,8 @@ func (g *graph) cyclePath(from, to, i int, kind ViolationKind, comp []int) []Ste
 	for len(queue) > 0 {
 		at := queue[0]
 		queue = queue[1:]
-		for it := g.edgeIter(at); ; {
-			e, ok := it.next()
-			if !ok {
-				break
-			}
+		var e edge
+		for it := g.edgeIter(at); it.next(&e); {
 			if comp[e.to] != comp[at] {
 				continue
 			}
@@ -261,9 +249,10 @@ func (g *graph) sccs() []int {
 		stack = append(stack, root)
 		onStack[root] = true
 
+		var e edge
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
-			if e, ok := f.it.next(); ok {
+			if f.it.next(&e) {
 				w := e.to
 				if index[w] == unvisited {
 					index[w] = next

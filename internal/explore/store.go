@@ -1,19 +1,23 @@
-// Out-of-core exploration: the disk-backed configuration store.
+// Out-of-core exploration: the disk-backed configuration store, and the
+// edge log both backends share.
 //
 // With Options.Store set, the explorer keeps the active BFS frontier
 // hot in memory while everything only the post-exploration analyses
-// need — the interning table, per-configuration outcome metadata, and
-// the encoded edge lists of completed levels — lives in the mmap'd
-// append-only arenas of internal/store. Spilled state is written in
-// exactly the delta-encoded section format the checkpoint package
-// persists, so a snapshot's edge section is served zero-copy from the
-// arena's committed prefix, and the completed run's Report, witnesses,
-// valency labels, DOT output, and event stream stay byte-identical to
-// the in-memory engine at any worker count.
+// need — the interning table and per-configuration outcome metadata —
+// lives in the mmap'd append-only arenas of internal/store, and the
+// edge log lives in the store's Edges arena. Without it the edge log is
+// a plain heap []byte. Either way it holds every expanded
+// configuration's outgoing edges as one record in exactly the
+// delta-encoded section format the checkpoint package persists, so a
+// snapshot's edge section is served zero-copy from the log's durable
+// prefix, and Reports, witnesses, valency labels, DOT output, and
+// event streams are byte-identical across backends at any worker
+// count.
 //
-// What stays resident per configuration: the BFS tree columns (parent
-// id + Step), the canon column, one (nil after spill) *Config pointer,
-// and two arena offsets. Everything else is decoded on demand through
+// What stays resident per configuration on the disk store: the BFS
+// tree columns (parent id + Step), the canon column, one (nil after
+// spill) *Config pointer, and two offsets, into the Meta arena and the
+// edge log. Everything else is decoded on demand through
 // metaAt/edgeIter below.
 package explore
 
@@ -31,19 +35,11 @@ import (
 // diskState is the explorer's view of an open configuration store.
 type diskState struct {
 	s *store.Store
-	// metaOff[id] and edgeOff[id] locate config id's outcome record in
-	// the Meta arena and its encoded edge list in the Edges arena; both
-	// are written in id order, so each record ends where the next one
+	// metaOff[id] locates config id's outcome record in the Meta arena;
+	// records are written in id order, so each ends where the next one
 	// starts (or at the arena's Len for the last).
 	metaOff []int64
-	edgeOff []int64
-	// edgeDurable is the Edges-arena prefix covered by completed level
-	// barriers. Snapshots serialize exactly this prefix; the merge of a
-	// partially-failed level may append beyond it, and those bytes never
-	// enter a snapshot.
-	edgeDurable int64
-	// Single-threaded merge/intern scratch.
-	edgeRec []byte
+	// Single-threaded intern scratch.
 	metaRec []byte
 }
 
@@ -82,7 +78,6 @@ func (g *graph) intern(key []byte, c *Config, parent int, via Step, gi int) (int
 		d.metaOff = append(d.metaOff, off)
 	} else {
 		g.ids[string(key)] = id
-		g.edges = append(g.edges, nil)
 	}
 	g.configs = append(g.configs, c)
 	g.parent = append(g.parent, parent)
@@ -251,81 +246,133 @@ func (m *metaRec) fillOutcome(o *task.Outcome) {
 	}
 }
 
-// appendV and appendStep are the append-style twins of the checkpoint
-// encoder's putV/putStep, producing byte-identical records — which is
-// what lets a snapshot serve its edge section straight from the arena.
-func appendV(dst []byte, v int64) []byte {
-	return binary.AppendVarint(dst, v)
+// logEdges appends the edge record of configuration len(g.edgeOff) —
+// its edge count, then body, count edges encoded with putEdge — to the
+// edge log: the store's Edges arena on a disk-backed run, g.edgeHeap
+// otherwise.
+func (g *graph) logEdges(count int, body []byte) error {
+	off := g.edgeLen()
+	var hdr [binary.MaxVarintLen64]byte
+	h := hdr[:putV(hdr[:], 0, int64(count))]
+	if d := g.disk; d != nil {
+		if _, err := d.s.Edges.Append(h); err != nil {
+			return err
+		}
+		if _, err := d.s.Edges.Append(body); err != nil {
+			return err
+		}
+	} else {
+		g.edgeHeap = append(append(g.edgeHeap, h...), body...)
+	}
+	g.edgeOff = append(g.edgeOff, off)
+	return nil
 }
 
-func appendStep(dst []byte, s Step) []byte {
-	dst = append(dst, byte(s.Op.Method))
-	dst = appendV(dst, int64(s.Op.Arg))
-	dst = appendV(dst, int64(s.Op.Label))
-	dst = appendV(dst, int64(s.Resp))
-	dst = appendV(dst, int64(s.Proc))
-	dst = appendV(dst, int64(s.Obj))
-	dst = appendV(dst, int64(s.Branch))
-	return dst
+// edgeLen returns the edge log's length in bytes.
+func (g *graph) edgeLen() int64 {
+	if d := g.disk; d != nil {
+		return d.s.Edges.Len()
+	}
+	return int64(len(g.edgeHeap))
 }
 
-// edgeIter walks one configuration's outgoing edges, from the
-// in-memory adjacency list or by decoding the configuration's edge
-// record in the Edges arena. Iteration order is identical in both
-// modes: the canonical merge order the record was written in.
+// durableEdges returns zero-copy views of the edge log's durable
+// prefix, the snapshot's edge section. They stay stable while a
+// background writer reads them: later merges only append at or beyond
+// edgeDurable, and a heap reallocation leaves the old array intact.
+func (g *graph) durableEdges() [][]byte {
+	if d := g.disk; d != nil {
+		return d.s.Edges.Sections(g.edgeDurable)
+	}
+	return [][]byte{g.edgeHeap[:g.edgeDurable]}
+}
+
+// putEdge writes e at buf[i:] (the caller has reserved recMax bytes)
+// and returns the end offset: the target, the step, then the group
+// index — the encoding edgeIter.next reads back.
+func putEdge(buf []byte, i int, e edge) int {
+	i = putV(buf, i, int64(e.to))
+	i = putStep(buf, i, e.step)
+	return putV(buf, i, int64(e.g))
+}
+
+// edgeIter walks one configuration's outgoing edges by decoding its
+// edge-log record, in the canonical merge order it was written in. The
+// decoder trusts its input — the log holds only the merge's own records
+// and records restore validated — and advances an index instead of
+// reslicing, so iterators parked in DFS frames cost no pointer writes.
 type edgeIter struct {
-	es  []edge // in-memory mode
+	rec []byte
 	i   int
-	rem int // remaining records in disk mode; -1 flags in-memory mode
-	id  int
-	dec checkpoint.Dec
+	rem int // edges not yet decoded
 }
 
 // edgeIter returns an iterator over config id's outgoing edges.
 // Unexpanded configurations (frontier at an aborted run) have none.
 func (g *graph) edgeIter(id int) edgeIter {
-	d := g.disk
-	if d == nil {
-		if id >= len(g.edges) {
-			return edgeIter{rem: 0}
-		}
-		return edgeIter{es: g.edges[id], rem: -1}
+	if id >= len(g.edgeOff) {
+		return edgeIter{}
 	}
-	if id >= len(d.edgeOff) {
-		return edgeIter{rem: 0}
+	start, end := g.edgeOff[id], g.edgeLen()
+	if id+1 < len(g.edgeOff) {
+		end = g.edgeOff[id+1]
 	}
-	end := d.s.Edges.Len()
-	if id+1 < len(d.edgeOff) {
-		end = d.edgeOff[id+1]
+	it := edgeIter{}
+	if d := g.disk; d != nil {
+		// Iterators nest (DFS frames), so a straddling record gets a
+		// private copy rather than a shared scratch buffer.
+		it.rec, _ = arenaRecord(d.s.Edges, start, end, nil)
+	} else {
+		it.rec = g.edgeHeap[start:end]
 	}
-	// Iterators nest (DFS frames), so a straddling record gets a
-	// private copy rather than a shared scratch buffer.
-	rec, _ := arenaRecord(d.s.Edges, d.edgeOff[id], end, nil)
-	it := edgeIter{id: id, dec: *checkpoint.NewDec(rec)}
-	it.rem = it.dec.Int()
-	mustDecode(&it.dec, "edge", id)
+	rem, i := varintAt(it.rec, 0)
+	it.rem, it.i = int(rem), i
 	return it
 }
 
-func (it *edgeIter) next() (edge, bool) {
-	if it.rem < 0 {
-		if it.i >= len(it.es) {
-			return edge{}, false
-		}
-		e := it.es[it.i]
-		it.i++
-		return e, true
-	}
+// next decodes the next edge into e, or reports false when none are
+// left. Decoding in place, rather than returning the edge, spares every
+// walk a copy of the struct per edge.
+func (it *edgeIter) next(e *edge) bool {
 	if it.rem == 0 {
-		return edge{}, false
+		return false
 	}
 	it.rem--
-	var e edge
-	e.to = it.dec.Int()
-	e.step = decodeStep(&it.dec)
-	e.g = it.dec.Int()
-	mustDecode(&it.dec, "edge", it.id)
-	return e, true
+	b, i := it.rec, it.i
+	var v int64
+	v, i = varintAt(b, i)
+	e.to = int(v)
+	e.step.Op.Method = value.Method(b[i])
+	v, i = varintAt(b, i+1)
+	e.step.Op.Arg = value.Value(v)
+	v, i = varintAt(b, i)
+	e.step.Op.Label = int(v)
+	v, i = varintAt(b, i)
+	e.step.Resp = value.Value(v)
+	v, i = varintAt(b, i)
+	e.step.Proc = int(v)
+	v, i = varintAt(b, i)
+	e.step.Obj = int(v)
+	v, i = varintAt(b, i)
+	e.step.Branch = int(v)
+	v, i = varintAt(b, i)
+	e.g = int(v)
+	it.i = i
+	return true
+}
+
+// varintAt decodes the signed varint at b[i:], the inverse of putV,
+// and returns it with the offset past it. It is small enough to inline.
+func varintAt(b []byte, i int) (int64, int) {
+	var u uint64
+	for s := 0; ; s += 7 {
+		c := b[i]
+		i++
+		u |= uint64(c&0x7f) << s
+		if c < 0x80 {
+			return int64(u>>1) ^ -int64(u&1), i
+		}
+	}
 }
 
 // Close releases the report's disk-backed configuration store,

@@ -479,11 +479,8 @@ func (g *graph) liftedSolo(from int, en edge, comp []int) bool {
 	for len(queue) > 0 {
 		at := queue[0]
 		queue = queue[1:]
-		for it := g.edgeIter(at.v); ; {
-			e, ok := it.next()
-			if !ok {
-				break
-			}
+		var e edge
+		for it := g.edgeIter(at.v); it.next(&e); {
 			if comp[e.to] != comp[at.v] {
 				continue
 			}
@@ -529,11 +526,8 @@ func (g *graph) liftedCycle(from int, en edge, i int, soloOnly bool, comp []int)
 	for len(queue) > 0 {
 		at := queue[0]
 		queue = queue[1:]
-		for it := g.edgeIter(at.v); ; {
-			e, ok := it.next()
-			if !ok {
-				break
-			}
+		var e edge
+		for it := g.edgeIter(at.v); it.next(&e); {
 			if comp[e.to] != comp[at.v] {
 				continue
 			}

@@ -139,11 +139,8 @@ func (g *graph) valency() (*ValencyReport, error) {
 	}
 	for ci := 0; ci < nComp; ci++ {
 		for _, id := range byComp[ci] {
-			for it := g.edgeIter(id); ; {
-				e, ok := it.next()
-				if !ok {
-					break
-				}
+			var e edge
+			for it := g.edgeIter(id); it.next(&e); {
 				masks[ci] |= masks[comp[e.to]]
 			}
 		}
@@ -172,11 +169,8 @@ func (g *graph) valency() (*ValencyReport, error) {
 		// Critical: bivalent with no bivalent successor.
 		critical := true
 		deg := 0
-		for it := g.edgeIter(id); ; {
-			e, ok := it.next()
-			if !ok {
-				break
-			}
+		var e edge
+		for it := g.edgeIter(id); it.next(&e); {
 			deg++
 			if masks[comp[e.to]].Bivalent() {
 				critical = false

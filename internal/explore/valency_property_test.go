@@ -15,10 +15,13 @@ import (
 // comes entirely from the seeded outcomes and the edge structure (and
 // describeCritical never needs a real program). Node 0 is the root;
 // every other node gets a tree parent among its predecessors plus
-// random extra edges, which freely create cycles and diamonds.
-func synthGraph(rng *rand.Rand) *graph {
+// random extra edges, which freely create cycles and diamonds. The
+// edges reach the graph through the merge's record encoder; adj returns
+// them as plain adjacency lists for the reference computations.
+func synthGraph(t *testing.T, rng *rand.Rand) (g *graph, adj [][]int) {
 	n := 2 + rng.Intn(24)
-	g := &graph{sys: &System{Programs: []*machine.Program{nil}}}
+	g = &graph{sys: &System{Programs: []*machine.Program{nil}}}
+	adj = make([][]int, n)
 	for i := 0; i < n; i++ {
 		ps := machine.ProcState{Status: machine.StatusHalted, Decision: value.None}
 		switch rng.Intn(10) {
@@ -37,24 +40,33 @@ func synthGraph(rng *rand.Rand) *graph {
 			parent = rng.Intn(i)
 		}
 		g.configs = append(g.configs, c)
-		g.edges = append(g.edges, nil)
 		g.parent = append(g.parent, parent)
 		g.parentE = append(g.parentE, Step{})
 		if parent >= 0 {
-			g.edges[parent] = append(g.edges[parent], edge{to: i})
+			adj[parent] = append(adj[parent], i)
 		}
 	}
 	for m := rng.Intn(2 * n); m > 0; m-- {
 		from, to := rng.Intn(n), rng.Intn(n)
-		g.edges[from] = append(g.edges[from], edge{to: to})
+		adj[from] = append(adj[from], to)
 	}
-	return g
+	for _, tos := range adj {
+		rec := make([]byte, len(tos)*recMax)
+		end := 0
+		for _, to := range tos {
+			end = putEdge(rec, end, edge{to: to})
+		}
+		if err := g.logEdges(len(tos), rec[:end]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return g, adj
 }
 
 // naiveValence is the obviously-correct reference: seed each
 // configuration's mask from its immediate outcomes, then run the
 // reachability fixpoint edge by edge until nothing changes.
-func naiveValence(g *graph) []Valence {
+func naiveValence(g *graph, adj [][]int) []Valence {
 	masks := make([]Valence, len(g.configs))
 	for id, c := range g.configs {
 		for _, ps := range c.Procs {
@@ -73,8 +85,8 @@ func naiveValence(g *graph) []Valence {
 	for changed := true; changed; {
 		changed = false
 		for id := range g.configs {
-			for _, e := range g.edges[id] {
-				if m := masks[id] | masks[e.to]; m != masks[id] {
+			for _, to := range adj[id] {
+				if m := masks[id] | masks[to]; m != masks[id] {
 					masks[id] = m
 					changed = true
 				}
@@ -93,12 +105,12 @@ func TestValencyMatchesNaiveFixpoint(t *testing.T) {
 	t.Parallel()
 	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		g := synthGraph(rng)
+		g, adj := synthGraph(t, rng)
 		rep, err := g.valency()
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		want := naiveValence(g)
+		want := naiveValence(g, adj)
 		census := [4]int{} // bivalent, 0-valent, 1-valent, null
 		criticals := 0
 		for id, v := range want {
@@ -116,10 +128,10 @@ func TestValencyMatchesNaiveFixpoint(t *testing.T) {
 			default:
 				census[3]++
 			}
-			if v.Bivalent() && len(g.edges[id]) > 0 {
+			if v.Bivalent() && len(adj[id]) > 0 {
 				critical := true
-				for _, e := range g.edges[id] {
-					if want[e.to].Bivalent() {
+				for _, to := range adj[id] {
+					if want[to].Bivalent() {
 						critical = false
 						break
 					}
@@ -156,9 +168,11 @@ func TestDescribeCriticalAllTerminated(t *testing.T) {
 			{Status: machine.StatusHalted, Decision: value.None},
 			{Status: machine.StatusDecided, Decision: 1},
 		}}},
-		edges:   [][]edge{nil},
 		parent:  []int{-1},
 		parentE: []Step{{}},
+	}
+	if err := g.logEdges(0, nil); err != nil {
+		t.Fatal(err)
 	}
 	cc := g.describeCritical(0)
 	if cc.SameObject {
