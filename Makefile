@@ -38,11 +38,15 @@ test:
 # that lists a candidate outside the sweep or out of order;
 # FuzzResume holds explore.Resume — whose restored edges the explorer's
 # edge log then trusts — to never panicking and to returning only typed
-# errors on any payload rewrapped in a valid snapshot container.
+# errors on any payload rewrapped in a valid snapshot container;
+# FuzzInternTable holds the explorer's interning table, on a heap and an
+# arena key log, to agreeing with a map on every interleaving of
+# interns, lookups, growth, resets for reuse and forced hash collisions.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseBudget$$' -fuzztime 5s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzMerge$$' -fuzztime 5s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzResume$$' -fuzztime 5s ./internal/explore
+	$(GO) test -run '^$$' -fuzz '^FuzzInternTable$$' -fuzztime 5s ./internal/explore
 
 # The two pinned-worker runs re-execute the symmetry soundness suite
 # (reduced-vs-unreduced verdict equality + witness replay) under the

@@ -209,7 +209,7 @@ func (st *search) encodeSnapshot() [][]byte {
 	e.Varint(st.opts.Events.Seq())
 	e.Int(len(g.configs))
 	st.ckptBuf = e.Buf
-	return append([][]byte{e.Buf, st.ckptTree}, g.durableEdges()...)
+	return append([][]byte{e.Buf, st.ckptTree}, g.edgeLog.sections(g.edgeDurable)...)
 }
 
 // recMax bounds one encoded tree or edge record, for the single
@@ -368,7 +368,7 @@ func (st *search) restore(path string) error {
 			sc.best = nc.AppendKey(sc.best[:0])
 			key = sc.best
 		}
-		if _, dup := g.lookup(key); dup {
+		if _, dup := g.tab.lookup(key); dup {
 			return corruptf("config %d: duplicate configuration in spanning tree", id)
 		}
 		if _, err := g.intern(key, nc, parent, s, gi); err != nil {
@@ -412,7 +412,7 @@ func (st *search) restore(path string) error {
 	if d.Len() != 0 {
 		return corruptf("%d trailing payload bytes", d.Len())
 	}
-	g.edgeDurable = g.edgeLen()
+	g.edgeDurable = g.edgeLog.len()
 	g.spillExpanded(1, expanded)
 
 	st.level = level

@@ -21,7 +21,8 @@ import (
 // Exploration failure modes.
 var (
 	// ErrStateLimit reports that the reachable graph exceeded
-	// Options.MaxStates.
+	// Options.MaxStates, or filled the interning table's 2^31−1 int32
+	// ids.
 	ErrStateLimit = errors.New("state limit exceeded")
 	// ErrNotBinary reports that valency analysis was requested for a
 	// protocol deciding values outside {0, 1}.
@@ -90,14 +91,14 @@ type Options struct {
 	// Checkpoint configures durable snapshots of the BFS (see
 	// CheckpointOptions); the zero value disables them.
 	Checkpoint CheckpointOptions
-	// Store, when enabled, spills the interning table and
+	// Store, when enabled, spills the interning table's key log and the
 	// per-configuration outcome metadata of completed BFS levels to the
 	// disk-backed configuration store (see internal/store), and keeps
 	// the edge log in its Edges arena instead of the heap, so only the
-	// active frontier stays hot in memory. Reports, witnesses, valency
-	// labels, DOT output, events, and checkpoint files are
-	// byte-identical to an in-memory run at any worker count; only the
-	// store.* observability counters differ. The zero value keeps
+	// active frontier and the table's slots stay hot in memory. Reports,
+	// witnesses, valency labels, DOT output, events, and checkpoint
+	// files are byte-identical to an in-memory run at any worker count;
+	// only the store.* observability counters differ. The zero value keeps
 	// everything in memory. Callers of a disk-backed exploration own the
 	// returned Report's store and must Close it.
 	Store store.Options
@@ -248,24 +249,25 @@ type Report struct {
 func (r *Report) Solved() bool { return len(r.Violations) == 0 }
 
 // graph is the explored configuration graph. Configurations are
-// interned by their compact binary key (Config.AppendKey); in-memory
-// map lookups go through string(bytes), which the compiler compiles to
-// a zero-copy probe, so only fresh configurations allocate a key.
-// Without symmetry, expansion never builds a successor Config: the
-// merge builds one only for a successor it interns, carved from slab.
-// With a disk store (disk != nil) the ids map is unused — keys live in
-// the store's hash table — and expanded configs entries are nil after
-// their level's spill.
+// interned by their compact binary key (Config.AppendKey) in tab, one
+// table over an append-only key log (see intern.go); ids are insertion
+// ordinals and index every column below. Without symmetry, expansion
+// never builds a successor Config: the merge builds one only for a
+// successor it interns, carved from slab. With a disk store
+// (disk != nil) the key log is the store's Keys arena, and expanded
+// configs entries are nil after their level's spill.
 //
 // Edges exist only as the edge log (see store.go): one encoded record
 // per expanded configuration, appended in id order by the merge (or by
-// restore), in the store's Edges arena on a disk-backed run and in
-// edgeHeap otherwise. edgeIter decodes them on demand.
+// restore), in the store's Edges arena on a disk-backed run and on the
+// heap otherwise. edgeIter decodes them on demand.
 type graph struct {
 	sys     *System
 	tsk     task.Task
 	configs []*Config
-	ids     map[string]int
+	// tab is the interning table from tablePool; nil once bfs has
+	// returned it, since no later pass probes keys.
+	tab     *internTable
 	parent  []int      // BFS tree: parent config id (-1 for root)
 	parentE []Step     // BFS tree: step from parent
 	valence []Valence  // per-config valence, populated by valency()
@@ -282,7 +284,7 @@ type graph struct {
 	// partially-failed level may append beyond it, and those bytes never
 	// enter a snapshot.
 	edgeDurable int64
-	edgeHeap    []byte // the edge log when disk == nil
+	edgeLog     byteLog
 	edgeRec     []byte // single-threaded merge scratch
 }
 
@@ -368,15 +370,18 @@ func newSearch(sys *System, tsk task.Task, opts *Options) (*search, *Report, err
 		return nil, rep, err
 	}
 
+	var keys *store.Arena
 	if opts.Store.Enabled() {
 		s, err := store.Open(opts.Store, opts.Obs)
 		if err != nil {
 			return fail(err)
 		}
-		g.disk = &diskState{s: s}
-	} else {
-		g.ids = make(map[string]int)
+		g.disk = &diskState{s: s, meta: byteLog{arena: s.Meta}}
+		g.edgeLog.arena = s.Edges
+		keys = s.Keys
 	}
+	g.tab = tablePool.Get().(*internTable)
+	g.tab.reset(keys)
 
 	root, err := initialConfig(sys)
 	if err != nil {
@@ -572,6 +577,9 @@ func (st *search) bfs() error {
 			shardOutPool.Put(out)
 		}
 		st.outs = nil
+		g.tab.keys.arena = nil // the Report owns the store
+		tablePool.Put(g.tab)
+		g.tab = nil
 	}()
 	for levelStart := st.expanded; levelStart < len(g.configs); {
 		if err := st.interrupted(); err != nil {
@@ -593,7 +601,7 @@ func (st *search) bfs() error {
 		// The edge log now holds exactly the records of the expanded
 		// configurations; snapshots serialize this prefix while later
 		// merges append beyond it.
-		g.edgeDurable = g.edgeLen()
+		g.edgeDurable = g.edgeLog.len()
 		if frontier := len(g.configs) - st.expanded; frontier > st.frontierMax {
 			st.frontierMax = frontier
 		}
@@ -761,7 +769,7 @@ func (st *search) expandShard(out *shardOut, start, end int) {
 				if rec.gi != 0 {
 					out.symHits++
 				}
-				if id, ok := g.lookup(key); ok {
+				if id, ok := g.tab.lookup(key); ok {
 					rec.id = id
 				} else {
 					rec.cfg = nc
@@ -857,7 +865,7 @@ func (st *search) expandShardSpliced(out *shardOut, sc *keyScratch, start, end i
 					step: Step{Proc: i, Obj: jo, Op: poise.Op, Resp: t.Resp, Branch: b},
 					id:   -1,
 				}
-				if id, ok := g.lookup(cand); ok {
+				if id, ok := g.tab.lookup(cand); ok {
 					rec.id = id
 				} else {
 					rec.ps, rec.next = ps, t.Next
@@ -933,7 +941,7 @@ func (st *search) mergeLevel(outs []*shardOut) error {
 				id, fresh := s.id, false
 				if id < 0 {
 					key := out.arena[s.off:s.end]
-					if known, ok := g.lookup(key); ok {
+					if known, ok := g.tab.lookup(key); ok {
 						id = known
 					} else {
 						c := s.cfg

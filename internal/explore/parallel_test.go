@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,6 +17,7 @@ import (
 	"setagree/internal/obs"
 	"setagree/internal/programs"
 	"setagree/internal/spec"
+	"setagree/internal/store"
 	"setagree/internal/task"
 	"setagree/internal/value"
 )
@@ -140,6 +143,106 @@ func TestWorkersDeterminism(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestPoolReuseDeterminism: finished searches hand their interning
+// tables and shard buffers to sync.Pools, and the next search resets and
+// resizes them. Checks of different sizes, symmetry modes and backends
+// — in sequence, in reverse, and from several goroutines at once — must
+// each render a Report, DOT and event stream byte-identical to the
+// instance's first run.
+func TestPoolReuseDeterminism(t *testing.T) {
+	type instance struct {
+		n    int
+		sym  explore.Symmetry
+		disk bool
+	}
+	insts := []instance{{5, explore.SymmetryOff, false}, {3, explore.SymmetryOff, false},
+		{4, explore.SymmetryIDs, false}, {4, explore.SymmetryOff, true}}
+	render := func(inst instance, dir string) (string, error) {
+		in := make([]value.Value, inst.n)
+		for i := range in {
+			in[i] = value.Value(i % 2)
+		}
+		sys, err := programs.Algorithm2(inst.n, 1).System(in)
+		if err != nil {
+			return "", err
+		}
+		var ev bytes.Buffer
+		opts := explore.Options{
+			Workers:        2,
+			Valency:        true,
+			Symmetry:       inst.sym,
+			Events:         obs.NewEmitterAt(&ev, fixedClock),
+			HeartbeatEvery: 64,
+		}
+		if inst.disk {
+			opts.Store = store.Options{Dir: dir}
+		}
+		rep, err := explore.Check(sys, task.DAC{N: inst.n, P: 0}, opts)
+		if err != nil {
+			return "", err
+		}
+		defer rep.Close()
+		var b strings.Builder
+		fmt.Fprintf(&b, "%d %d %d\n", rep.States, rep.Transitions, rep.Quiescent)
+		for _, v := range rep.Violations {
+			fmt.Fprintf(&b, "%v %v %v\n", v, v.Witness, v.Cycle)
+		}
+		fmt.Fprintf(&b, "%+v\n", *rep.Valency)
+		if err := rep.WriteDOT(&b, 1<<20); err != nil {
+			return "", err
+		}
+		return b.String() + ev.String(), nil
+	}
+	// A table reused without its slots cleared can fill up and probe
+	// forever, so each run gets a deadline instead of hanging the suite.
+	run := func(i int, dir string) (string, error) {
+		type result struct {
+			out string
+			err error
+		}
+		done := make(chan result, 1)
+		go func() {
+			out, err := render(insts[i], dir)
+			done <- result{out, err}
+		}()
+		select {
+		case r := <-done:
+			return r.out, r.err
+		case <-time.After(time.Minute):
+			return "", errors.New("Check did not finish within a minute")
+		}
+	}
+	want := make([]string, len(insts))
+	for i := range insts {
+		var err error
+		if want[i], err = run(i, t.TempDir()); err != nil {
+			t.Fatalf("instance %d: %v", i, err)
+		}
+	}
+	for i := len(insts) - 1; i >= 0; i-- {
+		got, err := run(i, t.TempDir())
+		if err != nil || got != want[i] {
+			t.Fatalf("instance %d rerun in reverse differs from its first run (err %v)", i, err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		dirs := []string{t.TempDir(), t.TempDir(), t.TempDir(), t.TempDir()}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range insts {
+				i := (k + g) % len(insts)
+				got, err := run(i, dirs[k])
+				if err != nil || got != want[i] {
+					t.Errorf("goroutine %d: instance %d differs from its first run (err %v)", g, i, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestWorkersDeterminismStateLimit: hitting MaxStates mid-level must

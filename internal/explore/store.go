@@ -3,21 +3,20 @@
 //
 // With Options.Store set, the explorer keeps the active BFS frontier
 // hot in memory while everything only the post-exploration analyses
-// need — the interning table and per-configuration outcome metadata —
-// lives in the mmap'd append-only arenas of internal/store, and the
-// edge log lives in the store's Edges arena. Without it the edge log is
-// a plain heap []byte. Either way it holds every expanded
-// configuration's outgoing edges as one record in exactly the
-// delta-encoded section format the checkpoint package persists, so a
-// snapshot's edge section is served zero-copy from the log's durable
-// prefix, and Reports, witnesses, valency labels, DOT output, and
-// event streams are byte-identical across backends at any worker
-// count.
+// need lives in the mmap'd append-only arenas of internal/store: the
+// interning table's key log (see intern.go), per-configuration outcome
+// metadata, and the edge log. Without it both logs are plain heap
+// []byte. Either way the edge log holds every expanded configuration's
+// outgoing edges as one record in exactly the delta-encoded section
+// format the checkpoint package persists, so a snapshot's edge section
+// is served zero-copy from the log's durable prefix, and Reports,
+// witnesses, valency labels, DOT output, and event streams are
+// byte-identical across backends at any worker count.
 //
-// What stays resident per configuration on the disk store: the BFS
-// tree columns (parent id + Step), the canon column, one (nil after
-// spill) *Config pointer, and two offsets, into the Meta arena and the
-// edge log. Everything else is decoded on demand through
+// What stays resident per configuration on the disk store: the table's
+// slot, the BFS tree columns (parent id + Step), the canon column, one
+// (nil after spill) *Config pointer, and two offsets, into the Meta
+// arena and the edge log. Everything else is decoded on demand through
 // metaAt/edgeIter below.
 package explore
 
@@ -35,21 +34,13 @@ import (
 // diskState is the explorer's view of an open configuration store.
 type diskState struct {
 	s *store.Store
-	// metaOff[id] locates config id's outcome record in the Meta arena;
-	// records are written in id order, so each ends where the next one
-	// starts (or at the arena's Len for the last).
+	// meta is the log of outcome records in the Meta arena; metaOff[id]
+	// locates config id's. Records are written in id order, so each ends
+	// where the next one starts (or at the log's end for the last).
+	meta    byteLog
 	metaOff []int64
 	// Single-threaded intern scratch.
 	metaRec []byte
-}
-
-// lookup probes the interning table for a configuration key.
-func (g *graph) lookup(key []byte) (int, bool) {
-	if g.disk != nil {
-		return g.disk.s.Lookup(key)
-	}
-	id, ok := g.ids[string(key)]
-	return id, ok
 }
 
 // intern adds a fresh configuration under its binary key (the
@@ -57,27 +48,22 @@ func (g *graph) lookup(key []byte) (int, bool) {
 // stays concrete), recording its BFS parent and the group index gi
 // that canonicalizes it, and returns the new id. The caller has
 // already verified the key is absent and built c (on the symmetry-off
-// path, from the graph's slab). In-memory the string conversion here
-// is the single per-state key allocation; on the disk store the key
-// and the outcome metadata record go to the arenas instead.
+// path, from the graph's slab). The table's ids are insertion
+// ordinals, so the new id is also the configuration's index in every
+// graph column. On the disk store the outcome metadata record goes to
+// the Meta arena too.
 func (g *graph) intern(key []byte, c *Config, parent int, via Step, gi int) (int, error) {
-	id := len(g.configs)
+	id, err := g.tab.intern(key)
+	if err != nil {
+		return 0, err
+	}
 	if d := g.disk; d != nil {
-		sid, err := d.s.Intern(key)
-		if err != nil {
-			return 0, err
-		}
-		if sid != id {
-			return 0, fmt.Errorf("explore: internal: store assigned id %d to configuration %d", sid, id)
-		}
 		d.metaRec = appendMeta(d.metaRec[:0], g.sys, c)
-		off, err := d.s.Meta.Append(d.metaRec)
+		off, err := d.meta.append(d.metaRec)
 		if err != nil {
 			return 0, err
 		}
 		d.metaOff = append(d.metaOff, off)
-	} else {
-		g.ids[string(key)] = id
 	}
 	g.configs = append(g.configs, c)
 	g.parent = append(g.parent, parent)
@@ -182,12 +168,12 @@ func (g *graph) metaAt(id int, m *metaRec) {
 		return
 	}
 	d := g.disk
-	end := d.s.Meta.Len()
+	end := d.meta.len()
 	if id+1 < len(d.metaOff) {
 		end = d.metaOff[id+1]
 	}
 	var buf []byte
-	buf, m.scratch = arenaRecord(d.s.Meta, d.metaOff[id], end, m.scratch)
+	buf, m.scratch = d.meta.record(d.metaOff[id], end, m.scratch)
 	dec := checkpoint.NewDec(buf)
 	m.mask = dec.Uvarint()
 	for i := 0; i < n; i++ {
@@ -196,17 +182,6 @@ func (g *graph) metaAt(id int, m *metaRec) {
 		m.poised[i] = dec.Int()
 	}
 	mustDecode(dec, "meta", id)
-}
-
-// arenaRecord returns the arena bytes [start, end): a zero-copy view
-// when the record lies in one chunk, otherwise a copy in scratch
-// (returned for reuse; nil scratch allocates a private copy).
-func arenaRecord(a *store.Arena, start, end int64, scratch []byte) (rec, buf []byte) {
-	if v, ok := a.View(start, end); ok {
-		return v, scratch
-	}
-	buf = a.AppendRange(scratch[:0], start, end)
-	return buf, buf
 }
 
 // mustDecode panics when an arena record failed to decode. The records
@@ -248,43 +223,18 @@ func (m *metaRec) fillOutcome(o *task.Outcome) {
 
 // logEdges appends the edge record of configuration len(g.edgeOff) —
 // its edge count, then body, count edges encoded with putEdge — to the
-// edge log: the store's Edges arena on a disk-backed run, g.edgeHeap
-// otherwise.
+// edge log.
 func (g *graph) logEdges(count int, body []byte) error {
-	off := g.edgeLen()
 	var hdr [binary.MaxVarintLen64]byte
-	h := hdr[:putV(hdr[:], 0, int64(count))]
-	if d := g.disk; d != nil {
-		if _, err := d.s.Edges.Append(h); err != nil {
-			return err
-		}
-		if _, err := d.s.Edges.Append(body); err != nil {
-			return err
-		}
-	} else {
-		g.edgeHeap = append(append(g.edgeHeap, h...), body...)
+	off, err := g.edgeLog.append(hdr[:putV(hdr[:], 0, int64(count))])
+	if err != nil {
+		return err
+	}
+	if _, err := g.edgeLog.append(body); err != nil {
+		return err
 	}
 	g.edgeOff = append(g.edgeOff, off)
 	return nil
-}
-
-// edgeLen returns the edge log's length in bytes.
-func (g *graph) edgeLen() int64 {
-	if d := g.disk; d != nil {
-		return d.s.Edges.Len()
-	}
-	return int64(len(g.edgeHeap))
-}
-
-// durableEdges returns zero-copy views of the edge log's durable
-// prefix, the snapshot's edge section. They stay stable while a
-// background writer reads them: later merges only append at or beyond
-// edgeDurable, and a heap reallocation leaves the old array intact.
-func (g *graph) durableEdges() [][]byte {
-	if d := g.disk; d != nil {
-		return d.s.Edges.Sections(g.edgeDurable)
-	}
-	return [][]byte{g.edgeHeap[:g.edgeDurable]}
 }
 
 // putEdge writes e at buf[i:] (the caller has reserved recMax bytes)
@@ -313,18 +263,14 @@ func (g *graph) edgeIter(id int) edgeIter {
 	if id >= len(g.edgeOff) {
 		return edgeIter{}
 	}
-	start, end := g.edgeOff[id], g.edgeLen()
+	start, end := g.edgeOff[id], g.edgeLog.len()
 	if id+1 < len(g.edgeOff) {
 		end = g.edgeOff[id+1]
 	}
+	// Iterators nest (DFS frames), so a straddling record gets a private
+	// copy rather than a shared scratch buffer.
 	it := edgeIter{}
-	if d := g.disk; d != nil {
-		// Iterators nest (DFS frames), so a straddling record gets a
-		// private copy rather than a shared scratch buffer.
-		it.rec, _ = arenaRecord(d.s.Edges, start, end, nil)
-	} else {
-		it.rec = g.edgeHeap[start:end]
-	}
+	it.rec, _ = g.edgeLog.record(start, end, nil)
 	rem, i := varintAt(it.rec, 0)
 	it.rem, it.i = int(rem), i
 	return it

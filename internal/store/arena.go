@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -86,55 +85,28 @@ func (a *Arena) addChunk() error {
 	return nil
 }
 
-// View returns the bytes [start, end) as a zero-copy slice of the
-// chunk holding them. When the range straddles a chunk boundary it
-// counts a store.arena_faults fault and returns ok == false; read the
-// range with AppendRange instead. The range must lie below Len(); the
-// arena is the explorer's own write-once data, so a bad range is an
-// internal invariant failure and panics via the bounds check.
-func (a *Arena) View(start, end int64) ([]byte, bool) {
-	if end > start && start>>a.shift != (end-1)>>a.shift {
-		a.faults.Inc()
-		return nil, false
+// Record returns the bytes [start, end): a zero-copy slice of the
+// chunk holding them or, when the range straddles a chunk boundary
+// (counted as a store.arena_faults fault), a copy in scratch, returned
+// for reuse as buf (nil scratch allocates a private copy). The range
+// must lie below Len(); the arena is the explorer's own write-once
+// data, so a bad range is an internal invariant failure and panics via
+// the bounds check.
+func (a *Arena) Record(start, end int64, scratch []byte) (rec, buf []byte) {
+	if end <= start || start>>a.shift == (end-1)>>a.shift {
+		co := start & a.mask
+		return a.chunks[start>>a.shift][co : co+end-start], scratch
 	}
-	co := start & a.mask
-	return a.chunks[start>>a.shift][co : co+end-start], true
-}
-
-// AppendRange appends the bytes [start, end) to dst, copying across
-// chunk boundaries, and returns the extended slice.
-func (a *Arena) AppendRange(dst []byte, start, end int64) []byte {
+	a.faults.Inc()
+	buf = scratch[:0]
 	for start < end {
 		c := a.chunks[start>>a.shift]
 		co := start & a.mask
-		n := int64(len(c)) - co
-		if start+n > end {
-			n = end - start
-		}
-		dst = append(dst, c[co:co+n]...)
+		n := min(int64(len(c))-co, end-start)
+		buf = append(buf, c[co:co+n]...)
 		start += n
 	}
-	return dst
-}
-
-// Equal reports whether the bytes at [off, off+len(key)) equal key,
-// comparing chunk-wise without copying.
-func (a *Arena) Equal(off int64, key []byte) bool {
-	for len(key) > 0 {
-		c := a.chunks[off>>a.shift]
-		co := off & a.mask
-		n := int64(len(c)) - co
-		if int64(len(key)) <= n {
-			return bytes.Equal(c[co:co+int64(len(key))], key)
-		}
-		a.faults.Inc()
-		if !bytes.Equal(c[co:], key[:n]) {
-			return false
-		}
-		key = key[n:]
-		off += n
-	}
-	return true
+	return buf, buf
 }
 
 // Sections returns chunk-backed views covering [0, upTo), suitable for

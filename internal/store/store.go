@@ -1,9 +1,9 @@
-// Package store is the explorer's disk-backed configuration store: a
-// partitioned hash table over mmap'd, append-only arenas. The explorer
-// spills everything a level-synchronized BFS only reads back rarely —
-// interned configuration keys, per-configuration outcome records, and
-// the edge lists of completed levels — while the active frontier stays
-// hot in memory.
+// Package store is the explorer's disk-backed configuration store:
+// three mmap'd, append-only arenas. The explorer spills everything a
+// level-synchronized BFS only reads back rarely — the key log under its
+// interning table, per-configuration outcome records, and the edge
+// lists of completed levels — while the active frontier and the table's
+// slots stay hot in memory.
 //
 // The store is SCRATCH, not durable state: arena files are truncated on
 // Open and removed on Close, and a resumed run rebuilds them from the
@@ -11,15 +11,14 @@
 // Leftover files from a crashed run are therefore harmless.
 //
 // Concurrency contract: the explorer alternates between an expand phase
-// (the table is frozen; Lookup may run from any number of goroutines)
-// and a single-threaded merge phase (Intern and Append mutate). The
-// store relies on that level discipline instead of locks.
+// (the arenas are frozen; reads may run from any number of goroutines)
+// and a single-threaded merge phase (Append mutates). The store relies
+// on that level discipline instead of locks.
 package store
 
 import (
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -104,45 +103,21 @@ func ParseBudget(s string) (int64, error) {
 const (
 	defaultChunkBytes = 1 << 24 // 16 MiB
 	minChunkBytes     = 1 << 12
-	numShards         = 256
 )
 
-// slot is one open-addressing table entry: the key's full hash, its
-// bytes in the key arena, and the interned id. klen == 0 marks an
-// empty slot (interned keys are never empty). In-memory index cost:
-// 24 B per slot, ≤ 2 slots per key at the 0.75 maximum load factor.
-type slot struct {
-	hash uint64
-	off  int64
-	klen uint32
-	id   int32
-}
-
-type shard struct {
-	slots []slot
-	n     int
-}
-
-// Store owns the three arenas and the partitioned key table. Open one
-// per exploration; it is not reusable after Close.
+// Store owns the three arenas. Open one per exploration; it is not
+// reusable after Close.
 type Store struct {
-	dir    string
 	budget int64
 
-	// Keys holds the interned configuration keys, Meta the explorer's
-	// per-configuration outcome records, Edges its encoded edge lists
-	// (checkpoint section format). The explorer appends and decodes;
-	// the store only indexes Keys.
+	// Keys holds the explorer's key log (the interned configuration
+	// keys its table indexes), Meta its per-configuration outcome
+	// records, Edges its encoded edge lists (checkpoint section format).
+	// The explorer appends and decodes; the store only owns the bytes.
 	Keys  *Arena
 	Meta  *Arena
 	Edges *Arena
 
-	// seed keys the table's hash. It is random per store: ids are
-	// insertion ordinals and Lookup compares whole keys, so nothing the
-	// store returns depends on it.
-	seed    maphash.Seed
-	shards  [numShards]shard
-	count   int
 	heapMax *obs.Gauge
 }
 
@@ -174,9 +149,7 @@ func Open(opts Options, sink *obs.Sink) (*Store, error) {
 	spilled := sink.Counter("store.spilled_bytes")
 	faults := sink.Counter("store.arena_faults")
 	s := &Store{
-		dir:     opts.Dir,
 		budget:  opts.Budget,
-		seed:    maphash.MakeSeed(),
 		heapMax: sink.Gauge("store.heap_bytes_max"),
 	}
 	for _, a := range []struct {
@@ -203,79 +176,6 @@ func (s *Store) Close() error {
 		}
 	}
 	return err
-}
-
-// Count returns the number of interned keys.
-func (s *Store) Count() int { return s.count }
-
-// Lookup probes the table for key. Safe for concurrent use while no
-// Intern is running (the explorer's expand phase).
-func (s *Store) Lookup(key []byte) (int, bool) {
-	h := maphash.Bytes(s.seed, key)
-	sh := &s.shards[h&(numShards-1)]
-	if len(sh.slots) == 0 {
-		return 0, false
-	}
-	mask := uint64(len(sh.slots) - 1)
-	for i := (h >> 8) & mask; ; i = (i + 1) & mask {
-		sl := &sh.slots[i]
-		if sl.klen == 0 {
-			return 0, false
-		}
-		if sl.hash == h && int(sl.klen) == len(key) && s.Keys.Equal(sl.off, key) {
-			return int(sl.id), true
-		}
-	}
-}
-
-// Intern appends key to the key arena and indexes it, returning the
-// assigned id (the insertion ordinal). The caller has already verified
-// the key is absent. Single-threaded (the explorer's merge phase).
-func (s *Store) Intern(key []byte) (int, error) {
-	if len(key) == 0 {
-		return 0, errors.New("store: empty key")
-	}
-	if s.count > 1<<31-2 {
-		return 0, fmt.Errorf("store: %d keys exceed the table's id width", s.count)
-	}
-	off, err := s.Keys.Append(key)
-	if err != nil {
-		return 0, err
-	}
-	h := maphash.Bytes(s.seed, key)
-	sh := &s.shards[h&(numShards-1)]
-	if 4*(sh.n+1) > 3*len(sh.slots) {
-		sh.grow()
-	}
-	id := s.count
-	sh.insert(slot{hash: h, off: off, klen: uint32(len(key)), id: int32(id)})
-	sh.n++
-	s.count++
-	return id, nil
-}
-
-func (sh *shard) insert(sl slot) {
-	mask := uint64(len(sh.slots) - 1)
-	for i := (sl.hash >> 8) & mask; ; i = (i + 1) & mask {
-		if sh.slots[i].klen == 0 {
-			sh.slots[i] = sl
-			return
-		}
-	}
-}
-
-func (sh *shard) grow() {
-	old := sh.slots
-	n := 2 * len(old)
-	if n == 0 {
-		n = 256
-	}
-	sh.slots = make([]slot, n)
-	for _, sl := range old {
-		if sl.klen != 0 {
-			sh.insert(sl)
-		}
-	}
 }
 
 // CheckBudget enforces Options.Budget against the current live heap: if

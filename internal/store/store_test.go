@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -70,8 +69,8 @@ func FuzzParseBudget(f *testing.F) {
 }
 
 // TestArenaStraddle exercises records crossing chunk boundaries with a
-// minimum-size chunk: appends, zero-copy views, range copies, chunked
-// compares, and the fault counter.
+// minimum-size chunk: appends, zero-copy records, copies of straddling
+// records, and the fault counter.
 func TestArenaStraddle(t *testing.T) {
 	sink := obs.NewSink()
 	s, err := Open(Options{Dir: t.TempDir(), ChunkBytes: 1}, sink)
@@ -102,32 +101,25 @@ func TestArenaStraddle(t *testing.T) {
 		t.Fatalf("Len() = %d, want %d", s.Keys.Len(), len(want))
 	}
 	views, straddles := 0, 0
+	var scratch []byte
 	for start := int64(0); start < s.Keys.Len(); start += 90 {
 		end := min(start+200, s.Keys.Len())
-		got := s.Keys.AppendRange([]byte("prefix"), start, end)
-		if !bytes.Equal(got[6:], want[start:end]) || string(got[:6]) != "prefix" {
-			t.Fatalf("AppendRange(%d, %d) disagrees with the appended bytes", start, end)
+		var got []byte
+		got, scratch = s.Keys.Record(start, end, scratch)
+		if !bytes.Equal(got, want[start:end]) {
+			t.Fatalf("Record(%d, %d) disagrees with the appended bytes", start, end)
 		}
-		if v, ok := s.Keys.View(start, end); ok {
+		if start>>s.Keys.shift == (end-1)>>s.Keys.shift {
 			views++
-			if !bytes.Equal(v, want[start:end]) {
-				t.Fatalf("View(%d, %d) disagrees with the appended bytes", start, end)
+			if &got[0] != &s.Keys.chunks[start>>s.Keys.shift][start&s.Keys.mask] {
+				t.Fatalf("Record(%d, %d) copied a single-chunk range", start, end)
 			}
 		} else {
 			straddles++
-			if start>>s.Keys.shift == (end-1)>>s.Keys.shift {
-				t.Fatalf("View(%d, %d) refused a single-chunk range", start, end)
-			}
 		}
 	}
 	if views == 0 || straddles == 0 {
 		t.Fatalf("views %d, straddles %d: both paths must be exercised", views, straddles)
-	}
-	if !s.Keys.Equal(0, want) {
-		t.Fatal("Equal over the whole straddled arena = false")
-	}
-	if s.Keys.Equal(1, want[:len(want)-1]) {
-		t.Fatal("Equal at shifted offset = true")
 	}
 	var flat []byte
 	for _, sec := range s.Keys.Sections(s.Keys.Len()) {
@@ -141,91 +133,7 @@ func TestArenaStraddle(t *testing.T) {
 		t.Fatalf("spilled_bytes = %d, want %d", snap.Counters["store.spilled_bytes"], len(want))
 	}
 	if snap.Counters["store.arena_faults"] == 0 {
-		t.Fatal("straddling appends and compares counted no arena faults")
-	}
-}
-
-func TestTableInternLookupGrow(t *testing.T) {
-	s, err := Open(Options{Dir: t.TempDir()}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	// Enough keys to force shard growth past the initial 256 slots.
-	const n = 200000
-	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%d-%d", i, i*i)) }
-	for i := 0; i < n; i++ {
-		if _, ok := s.Lookup(key(i)); ok {
-			t.Fatalf("key %d present before intern", i)
-		}
-		id, err := s.Intern(key(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if id != i {
-			t.Fatalf("Intern assigned id %d, want %d", id, i)
-		}
-	}
-	if s.Count() != n {
-		t.Fatalf("Count() = %d, want %d", s.Count(), n)
-	}
-	for i := 0; i < n; i++ {
-		id, ok := s.Lookup(key(i))
-		if !ok || id != i {
-			t.Fatalf("Lookup(key %d) = %d,%v", i, id, ok)
-		}
-	}
-	if _, ok := s.Lookup([]byte("absent")); ok {
-		t.Fatal("Lookup of absent key succeeded")
-	}
-	if _, err := s.Intern(nil); err == nil {
-		t.Fatal("Intern of empty key succeeded")
-	}
-}
-
-// TestInternDeterministicAcrossSeeds pins that nothing the store
-// returns depends on its hash: two stores, each with its own random
-// seed, intern the same key sequence — long keys that differ only in
-// their last byte among them — to identical ids and agree on every
-// Lookup, present and absent.
-func TestInternDeterministicAcrossSeeds(t *testing.T) {
-	var keys [][]byte
-	for i := 0; i < 3000; i++ {
-		k := bytes.Repeat([]byte{byte(i >> 8), byte(i)}, 40+i%7)
-		keys = append(keys, k, append(bytes.Clone(k), 0), append(bytes.Clone(k), 1))
-	}
-	var stores [2]*Store
-	for si := range stores {
-		s, err := Open(Options{Dir: t.TempDir()}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		for i, k := range keys {
-			id, err := s.Intern(k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if id != i {
-				t.Fatalf("store %d: key %d interned as id %d", si, i, id)
-			}
-		}
-		stores[si] = s
-	}
-	for i, k := range keys {
-		a, aok := stores[0].Lookup(k)
-		b, bok := stores[1].Lookup(k)
-		if !aok || !bok || a != i || b != i {
-			t.Fatalf("Lookup(key %d) = %d,%v and %d,%v; want %d in both", i, a, aok, b, bok, i)
-		}
-		absent := append(bytes.Clone(k), 2)
-		if _, ok := stores[0].Lookup(absent); ok {
-			t.Fatalf("store 0 found absent key %d", i)
-		}
-		if _, ok := stores[1].Lookup(absent); ok {
-			t.Fatalf("store 1 found absent key %d", i)
-		}
+		t.Fatal("straddling appends and records counted no arena faults")
 	}
 }
 
