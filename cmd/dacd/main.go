@@ -136,13 +136,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	runners := clusterRunners(reg, clusterWorkers)
 	runners["explore"] = exploreRunner(reg)
 	pool := jobs.NewPool(store, *workers, runners)
+	pool.Observe(reg.Attach())
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintf(stderr, "dacd: %v\n", err)
 		store.Close()
 		return 2
 	}
-	srv := &http.Server{Handler: newServer(store, pool, serverOptions{Registry: reg, Pprof: *pprofOn})}
+	// Shutdown waits for active connections, and an SSE stream stays
+	// active until its job ends (a coordinator streams every shard it
+	// runs here), so shutting down ends the streams first.
+	streams, endStreams := context.WithCancel(context.Background())
+	defer endStreams()
+	srv := &http.Server{
+		Handler:     newServer(store, pool, serverOptions{Registry: reg, Pprof: *pprofOn}),
+		BaseContext: func(net.Listener) context.Context { return streams },
+	}
+	srv.RegisterOnShutdown(endStreams)
 	fmt.Fprintf(stdout, "dacd: listening on http://%s (data in %s)\n", ln.Addr(), *dataDir)
 
 	// Background archival: bound the hot footprint while the daemon

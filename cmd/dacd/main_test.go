@@ -395,3 +395,46 @@ func TestKill9ResumeE2E(t *testing.T) {
 		t.Errorf("exit code %d after SIGTERM, want 0", d2.cmd.ProcessState.ExitCode())
 	}
 }
+
+// TestShutdownEndsStreams: SIGTERM ends open SSE streams, so a client
+// tailing a running job (a coordinator waiting on a shard, or the
+// dashboard) cannot hold the daemon's HTTP shutdown open until the job
+// ends or the drain budget runs out. The paced job runs for over ten
+// seconds; the daemon must drain it back to the queue and exit 0 in a
+// fraction of that.
+func TestShutdownEndsStreams(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess e2e")
+	}
+	d := startDaemon(t, t.TempDir(), "-drain-timeout", "30s")
+	job := submitExplore(t, d.base, map[string]any{
+		"protocol": "alg2", "n": 4, "p": 1, "checkpoint_every": 1, "pace_ms": 1000,
+	})
+	waitJob(t, d.base, job.ID, jobs.Running, 20*time.Second)
+	stream, err := http.Get(d.base + "/jobs/" + job.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Body.Close()
+	ended := make(chan struct{})
+	go func() {
+		io.Copy(io.Discard, stream.Body)
+		close(ended)
+	}()
+
+	start := time.Now()
+	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.cmd.Wait(); err != nil {
+		t.Errorf("daemon exited uncleanly after SIGTERM: %v", err)
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Errorf("shutdown took %v with a stream open", took)
+	}
+	select {
+	case <-ended:
+	case <-time.After(5 * time.Second):
+		t.Error("the SSE stream stayed open after the daemon exited")
+	}
+}

@@ -29,6 +29,14 @@ type serverStats struct {
 	ArchiveBytes int64
 }
 
+// jobLifecycle is the pool's per-kind job lifecycle histograms, in
+// exposition order.
+var jobLifecycle = []struct{ name, help string }{
+	{jobs.QueueWaitMetric, "Job queue wait in nanoseconds, from becoming pending to the claim, by kind (log-bucketed estimates)."},
+	{jobs.RunMetric, "Job run time in nanoseconds, from the claim to the terminal state, by kind (log-bucketed estimates)."},
+	{jobs.TotalMetric, "Job time in nanoseconds, from becoming pending to the terminal state, by kind (log-bucketed estimates)."},
+}
+
 // jobStates is every lifecycle state, in exposition order. All states
 // are always exported (at 0 when absent) so scrape series never
 // appear and disappear.
@@ -42,8 +50,8 @@ var jobStates = []jobs.State{jobs.Canceled, jobs.Done, jobs.Failed, jobs.Pending
 // Naming scheme, stable across releases:
 //
 //   - dacd_* families describe the daemon: per-route request counters,
-//     request-latency quantiles, job-table gauges, journal/archive
-//     sizes.
+//     request-latency quantiles, per-kind job lifecycle quantiles,
+//     job-table gauges, journal/archive sizes.
 //   - every other sink metric exports under its dotted name with dots
 //     flattened to underscores: counters as <name>_total, gauges
 //     verbatim, timers as <name>_ns_total + <name>_calls_total,
@@ -54,7 +62,7 @@ func renderMetrics(w io.Writer, snap obs.Snapshot, st serverStats) {
 	fmt.Fprintf(w, "dacd_archive_bytes %d\n", st.ArchiveBytes)
 
 	writeHeader(w, "dacd_http_request_duration_ns", "summary", "HTTP request latency in nanoseconds (log-bucketed estimates; SSE streams excluded).")
-	writeSummary(w, "dacd_http_request_duration_ns", snap.Histograms[httpLatencyName])
+	writeSummary(w, "dacd_http_request_duration_ns", "", snap.Histograms[httpLatencyName])
 
 	writeHeader(w, "dacd_http_requests_total", "counter", "HTTP requests served, by route pattern.")
 	var routes []string
@@ -66,6 +74,20 @@ func renderMetrics(w io.Writer, snap obs.Snapshot, st serverStats) {
 	sort.Strings(routes)
 	for _, route := range routes {
 		fmt.Fprintf(w, "dacd_http_requests_total{route=%q} %d\n", route, snap.Counters[httpRequestsPrefix+route])
+	}
+
+	for _, m := range jobLifecycle {
+		writeHeader(w, flatten(m.name), "summary", m.help)
+		var kinds []string
+		for name := range snap.Histograms {
+			if kind, ok := strings.CutPrefix(name, m.name+"|"); ok {
+				kinds = append(kinds, kind)
+			}
+		}
+		sort.Strings(kinds)
+		for _, kind := range kinds {
+			writeSummary(w, flatten(m.name), fmt.Sprintf("kind=%q", kind), snap.Histograms[m.name+"|"+kind])
+		}
 	}
 
 	writeHeader(w, "dacd_jobs", "gauge", "Jobs in the store, by lifecycle state.")
@@ -118,7 +140,7 @@ func renderMetrics(w io.Writer, snap obs.Snapshot, st serverStats) {
 		}
 		fam, h := flatten(name), h
 		fams = append(fams, family{fam, "summary", "Latency distribution " + name + " (log-bucketed estimates).",
-			func(w io.Writer) { writeSummary(w, fam, h) }})
+			func(w io.Writer) { writeSummary(w, fam, "", h) }})
 	}
 	sort.Slice(fams, func(a, b int) bool { return fams[a].name < fams[b].name })
 	for _, f := range fams {
@@ -132,13 +154,19 @@ func writeHeader(w io.Writer, name, typ, help string) {
 }
 
 // writeSummary renders one histogram as a Prometheus summary: the
-// three quantile estimates, then the _sum and _count series.
-func writeSummary(w io.Writer, name string, h obs.HistogramSnapshot) {
-	fmt.Fprintf(w, "%s{quantile=\"0.5\"} %d\n", name, h.P50)
-	fmt.Fprintf(w, "%s{quantile=\"0.9\"} %d\n", name, h.P90)
-	fmt.Fprintf(w, "%s{quantile=\"0.99\"} %d\n", name, h.P99)
-	fmt.Fprintf(w, "%s_sum %d\n", name, h.Sum)
-	fmt.Fprintf(w, "%s_count %d\n", name, h.Count)
+// three quantile estimates, then the _sum and _count series, each
+// carrying labels (`k="v",...`; "" for none).
+func writeSummary(w io.Writer, name, labels string, h obs.HistogramSnapshot) {
+	q := "{"
+	if labels != "" {
+		q += labels + ","
+		labels = "{" + labels + "}"
+	}
+	fmt.Fprintf(w, "%s%squantile=\"0.5\"} %d\n", name, q, h.P50)
+	fmt.Fprintf(w, "%s%squantile=\"0.9\"} %d\n", name, q, h.P90)
+	fmt.Fprintf(w, "%s%squantile=\"0.99\"} %d\n", name, q, h.P99)
+	fmt.Fprintf(w, "%s_sum%s %d\n", name, labels, h.Sum)
+	fmt.Fprintf(w, "%s_count%s %d\n", name, labels, h.Count)
 }
 
 // flatten turns a dotted sink name into a Prometheus-legal one.

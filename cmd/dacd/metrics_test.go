@@ -42,6 +42,11 @@ func TestMetricsGolden(t *testing.T) {
 		s.Histogram("explore.level_ns").Observe(v)
 	}
 	s.Histogram(httpLatencyName).Observe(1500)
+	for kind, ms := range map[string]int64{"sweep": 40, "explore": 3} {
+		s.Histogram(jobs.QueueWaitMetric + "|" + kind).Observe(ms * 1e5)
+		s.Histogram(jobs.RunMetric + "|" + kind).Observe(ms * 1e6)
+		s.Histogram(jobs.TotalMetric + "|" + kind).Observe(ms * 11e5)
+	}
 	// Half the state retired, half live: Gather must merge both.
 	reg.Release(s)
 	live := reg.Attach()
@@ -89,7 +94,8 @@ func TestMetricsGolden(t *testing.T) {
 
 // TestMetricsEndpoint runs a real explore job through a registry-wired
 // pool and checks GET /metrics serves the aggregated run counters with
-// the stable names, HTTP request counters included.
+// the stable names, HTTP request counters and the job's lifecycle
+// histograms included.
 func TestMetricsEndpoint(t *testing.T) {
 	t.Parallel()
 	store, err := jobs.Open(t.TempDir())
@@ -99,12 +105,21 @@ func TestMetricsEndpoint(t *testing.T) {
 	defer store.Close()
 	reg := obs.NewRegistry()
 	pool := jobs.NewPool(store, 1, map[string]jobs.Runner{"explore": exploreRunner(reg)})
+	pool.Observe(reg.Attach())
 	ts := httptest.NewServer(newServer(store, pool, serverOptions{Registry: reg}))
 	defer ts.Close()
 	defer pool.Drain(context.Background())
 
 	job := submitExplore(t, ts.URL, map[string]any{"protocol": "alg2", "n": 3, "p": 1})
 	waitJob(t, ts.URL, job.ID, jobs.Done, 30*time.Second)
+	// The pool records the run histograms just after the terminal
+	// transition waitJob saw.
+	for deadline := time.Now().Add(10 * time.Second); reg.Gather().Histograms[jobs.TotalMetric+"|explore"].Count == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("no job lifecycle histograms 10s after the job finished")
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -132,6 +147,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		"dacd_journal_bytes ",
 		"dacd_archive_bytes 0",
 		"dacd_http_request_duration_ns{quantile=\"0.99\"}",
+		"dacd_job_queue_wait_ns_count{kind=\"explore\"} 1",
+		"dacd_job_run_ns_count{kind=\"explore\"} 1",
+		"dacd_job_total_ns{kind=\"explore\",quantile=\"0.5\"}",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -338,4 +339,61 @@ func TestSSEStreamsLinesWrittenAtExit(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+}
+
+// TestSSEDoneFollowsCompletion: the done frame follows the job's
+// terminal transition directly. Each gated job writes one event line
+// through its events file and returns when released; the median time
+// from release to the `event: done` line must stay far below the
+// 100 ms cadence the handler once polled the file at (such a loop
+// needed one tick for the line and another for the done frame).
+func TestSSEDoneFollowsCompletion(t *testing.T) {
+	t.Parallel()
+	const trials = 24
+	var gates sync.Map // job ID -> chan struct{}
+	gate := func(id string) chan struct{} {
+		c, _ := gates.LoadOrStore(id, make(chan struct{}))
+		return c.(chan struct{})
+	}
+	ts, _ := opsServer(t, serverOptions{KeepAlive: -1}, map[string]jobs.Runner{
+		"gated": func(ctx context.Context, s *jobs.Store, j jobs.Job) ([]byte, error) {
+			<-gate(j.ID)
+			ef, err := s.OpenEvents(j.ID, false)
+			if err != nil {
+				return nil, err
+			}
+			defer ef.Close()
+			_, err = ef.Write([]byte("{\"event\":\"last\"}\n"))
+			return []byte(`{}`), err
+		},
+	})
+
+	latencies := make([]time.Duration, 0, trials)
+	for i := 0; i < trials; i++ {
+		job := decodeJob(t, postJSON(t, ts.URL+"/jobs", map[string]any{"kind": "gated"}))
+		waitJob(t, ts.URL, job.ID, jobs.Running, 10*time.Second)
+		stream, err := http.Get(ts.URL + "/jobs/" + job.ID + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		release := time.Now()
+		close(gate(job.ID))
+		sc := bufio.NewScanner(stream.Body)
+		var body strings.Builder
+		for sc.Scan() && sc.Text() != "event: done" {
+			body.WriteString(sc.Text() + "\n")
+		}
+		latencies = append(latencies, time.Since(release))
+		sc.Scan()
+		stream.Body.Close()
+		if !strings.Contains(body.String(), `data: {"event":"last"}`) || sc.Text() != `data: {"state":"done"}` {
+			t.Fatalf("%s: stream lacks the last line or the done frame:\n%s--\n%s", job.ID, body.String(), sc.Text())
+		}
+	}
+	sort.Slice(latencies, func(a, b int) bool { return latencies[a] < latencies[b] })
+	median := latencies[trials/2]
+	t.Logf("release to done frame over %d jobs: median %v, max %v", trials, median, latencies[trials-1])
+	if median > 50*time.Millisecond {
+		t.Errorf("median release-to-done latency %v, want <= 50ms", median)
+	}
 }

@@ -127,13 +127,7 @@ func runExploreJobWith(ctx context.Context, store *jobs.Store, job jobs.Job, reg
 		// snapshot, only wall time does.
 		os.Remove(ckptPath)
 	}
-	openFlags := os.O_CREATE | os.O_WRONLY
-	if resume {
-		openFlags |= os.O_APPEND
-	} else {
-		openFlags |= os.O_TRUNC // drop any stale pre-checkpoint stream
-	}
-	ef, err := os.OpenFile(eventsPath, openFlags, 0o644)
+	ef, err := store.OpenEvents(job.ID, resume)
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"os"
 
 	"setagree/internal/cluster"
 	"setagree/internal/collections"
@@ -77,7 +76,7 @@ func jobRunner[S, R any](reg *obs.Registry, call func(context.Context, S, *obs.S
 		if err := json.Unmarshal(job.Spec, &spec); err != nil {
 			return nil, fmt.Errorf("bad spec: %w", err)
 		}
-		ef, err := os.Create(store.EventsPath(job.ID))
+		ef, err := store.OpenEvents(job.ID, false)
 		if err != nil {
 			return nil, err
 		}

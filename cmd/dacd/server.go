@@ -278,11 +278,13 @@ func (s *server) dot(w http.ResponseWriter, r *http.Request) {
 // events streams the job's JSONL event file over Server-Sent Events:
 // each complete line becomes one `data:` frame, tailed live while the
 // job runs. The stream ends with an `event: done` frame carrying the
-// job's terminal state once the job finishes and the file is drained
-// (a resumed job's stream picks up exactly where the checkpoint left
-// it — trimmed overshoot lines are re-sent by the resumed run). Idle
-// streams carry a `: keepalive` comment frame on the configured
-// cadence so intermediaries don't reap quiet connections.
+// job's terminal state, sent right after the terminal transition
+// together with the file's last lines (a resumed job's stream picks up
+// exactly where the checkpoint left it — trimmed overshoot lines are
+// re-sent by the resumed run). The handler waits on the job's
+// notifier (jobs.Store.Watch), so lines and the done frame go out as
+// they land. Idle streams carry a `: keepalive` comment frame on the
+// configured cadence so intermediaries don't reap quiet connections.
 func (s *server) events(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if _, err := s.store.Get(id); err != nil {
@@ -304,33 +306,49 @@ func (s *server) events(w http.ResponseWriter, r *http.Request) {
 
 	var off int64
 	lastWrite := time.Now()
-	ticker := time.NewTicker(100 * time.Millisecond)
-	defer ticker.Stop()
+	// The ticker only paces keepalives; a nil channel never fires.
+	var keepalive *time.Ticker
+	var tick <-chan time.Time
+	if s.keepAlive > 0 {
+		keepalive = time.NewTicker(s.keepAlive)
+		defer keepalive.Stop()
+		tick = keepalive.C
+	}
 	for {
-		// Snapshot the state before reading the file: a job is terminal
-		// only after its runner has returned, so a terminal state seen
-		// here guarantees the read below sees every line it wrote.
-		job, err := s.store.Get(id)
+		// Snapshot the state and arm the notifier before reading the
+		// file: a job is terminal only after its runner has returned, so
+		// a terminal state seen here guarantees the read below sees
+		// every line it wrote, and any change after the snapshot closes
+		// changed.
+		job, changed, err := s.store.Watch(id)
+		if err != nil {
+			return
+		}
 		n, sent := s.sendFrom(w, id, off)
 		off = n
-		if sent {
-			flusher.Flush()
-			lastWrite = time.Now()
-		}
-		if err == nil && job.State.Terminal() && !sent {
+		if job.State.Terminal() {
 			fmt.Fprintf(w, "event: done\ndata: {\"state\":%q}\n\n", job.State)
 			flusher.Flush()
 			return
 		}
-		if s.keepAlive > 0 && time.Since(lastWrite) >= s.keepAlive {
-			fmt.Fprint(w, ": keepalive\n\n")
+		if sent {
 			flusher.Flush()
 			lastWrite = time.Now()
+			if keepalive != nil {
+				keepalive.Reset(s.keepAlive)
+			}
 		}
 		select {
 		case <-r.Context().Done():
 			return
-		case <-ticker.C:
+		case <-changed:
+		case <-tick:
+			// A tick buffered before the last Reset may arrive early.
+			if time.Since(lastWrite) >= s.keepAlive {
+				fmt.Fprint(w, ": keepalive\n\n")
+				flusher.Flush()
+				lastWrite = time.Now()
+			}
 		}
 	}
 }
@@ -341,23 +359,21 @@ func (s *server) events(w http.ResponseWriter, r *http.Request) {
 // newline lands. Reads go through the store, so a stream whose job is
 // archived mid-tail keeps serving from the compressed copy.
 func (s *server) sendFrom(w http.ResponseWriter, id string, off int64) (int64, bool) {
-	buf, err := s.store.ReadEvents(id)
+	// A resumed job truncates the file; the read then restarts the tail
+	// from zero so the client sees the stream the resumed run is
+	// rebuilding.
+	buf, off, err := s.store.ReadEventsFrom(id, off)
 	if err != nil {
 		return off, false
 	}
-	// A resumed job truncates the file; restart the tail from zero so
-	// the client sees the stream the resumed run is rebuilding.
-	if int64(len(buf)) < off {
-		off = 0
-	}
 	sent := false
 	for {
-		rest := buf[off:]
-		nl := bytes.IndexByte(rest, '\n')
+		nl := bytes.IndexByte(buf, '\n')
 		if nl < 0 {
 			break
 		}
-		fmt.Fprintf(w, "data: %s\n\n", rest[:nl])
+		fmt.Fprintf(w, "data: %s\n\n", buf[:nl])
+		buf = buf[nl+1:]
 		off += int64(nl) + 1
 		sent = true
 	}

@@ -221,18 +221,19 @@ func TestRunLocalMatchesFalsify(t *testing.T) {
 	}
 }
 
-// fakeWorker is an in-process stand-in for a worker dacd: the three
+// fakeWorker is an in-process stand-in for a worker dacd: the four
 // job endpoints the coordinator uses, running sweep-shard jobs on a
 // goroutine like the real pool does.
 type fakeWorker struct {
 	mu      sync.Mutex
 	n       int
 	jobs    map[string]*jobs.Job
+	done    map[string]chan struct{} // closed when the job's run ends
 	results map[string][]byte
 }
 
 func newFakeWorker() *fakeWorker {
-	return &fakeWorker{jobs: map[string]*jobs.Job{}, results: map[string][]byte{}}
+	return &fakeWorker{jobs: map[string]*jobs.Job{}, done: map[string]chan struct{}{}, results: map[string][]byte{}}
 }
 
 func (f *fakeWorker) handler() http.Handler {
@@ -266,6 +267,8 @@ func (f *fakeWorker) handler() http.Handler {
 		id := fmt.Sprintf("job-%06d", f.n)
 		job := &jobs.Job{ID: id, Kind: req.Kind, State: jobs.Running}
 		f.jobs[id] = job
+		done := make(chan struct{})
+		f.done[id] = done
 		// Snapshot before the run goroutine can mutate job.State: the
 		// response encodes the accepted state, not a racing live record.
 		snap := *job
@@ -274,6 +277,7 @@ func (f *fakeWorker) handler() http.Handler {
 			rep, err := run()
 			f.mu.Lock()
 			defer f.mu.Unlock()
+			defer close(done)
 			if err != nil {
 				job.State = jobs.Failed
 				job.Error = err.Error()
@@ -299,6 +303,24 @@ func (f *fakeWorker) handler() http.Handler {
 			return
 		}
 		json.NewEncoder(w).Encode(cp)
+	})
+	mux.HandleFunc("GET /jobs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
+		f.mu.Lock()
+		done, ok := f.done[r.PathValue("id")]
+		f.mu.Unlock()
+		if !ok {
+			http.Error(w, "no such job", http.StatusNotFound)
+			return
+		}
+		select {
+		case <-done:
+		case <-r.Context().Done():
+			return
+		}
+		f.mu.Lock()
+		state := f.jobs[r.PathValue("id")].State
+		f.mu.Unlock()
+		fmt.Fprintf(w, "data: {\"event\":\"sweep.done\"}\n\nevent: done\ndata: {\"state\":%q}\n\n", state)
 	})
 	mux.HandleFunc("GET /jobs/{id}/result", func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
@@ -349,7 +371,6 @@ func TestRunClusterMatchesLocal(t *testing.T) {
 	rep, err := Run(context.Background(), sp, Options{
 		Workers:     []string{w1.URL, w2.URL, deadURL},
 		Shards:      4,
-		Poll:        5 * time.Millisecond,
 		MaxAttempts: 20,
 		Obs:         sink,
 	})
@@ -388,7 +409,6 @@ func TestRunClusterGivesUp(t *testing.T) {
 	_, err := Run(ctx, smallSpec(), Options{
 		Workers:     []string{deadURL},
 		Shards:      2,
-		Poll:        time.Millisecond,
 		MaxAttempts: 3,
 		Obs:         obs.NewSink(),
 	})

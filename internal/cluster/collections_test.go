@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"setagree/internal/collections"
 	"setagree/internal/obs"
@@ -63,7 +62,6 @@ func TestRunCollectionsClusterMatchesLocal(t *testing.T) {
 	rep, err := RunCollections(context.Background(), sp, Options{
 		Workers:     []string{w1.URL, deadURL},
 		Shards:      3,
-		Poll:        5 * time.Millisecond,
 		MaxAttempts: 20,
 		Obs:         sink,
 	})

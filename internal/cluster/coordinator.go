@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -124,8 +125,6 @@ type Options struct {
 	// before the sweep aborts (0 = 8). Each worker death, fetch error,
 	// or failed job costs one attempt; the shard requeues in between.
 	MaxAttempts int
-	// Poll is the job status poll cadence (0 = 50ms).
-	Poll time.Duration
 	// PaceMs is forwarded into every shard job (see ShardJob.PaceMs).
 	PaceMs int
 	// Obs receives cluster.* metrics; Events the cluster.* event log.
@@ -133,8 +132,17 @@ type Options struct {
 	Events *obs.Emitter
 }
 
-// client carries every worker call.
+// client carries every worker call but the event streams.
 var client = &http.Client{Timeout: 30 * time.Second}
+
+// streamClient carries the shard jobs' event streams. A stream lasts as
+// long as its shard, so it has no overall timeout; the caller's ctx
+// bounds it instead.
+var streamClient = &http.Client{}
+
+// failBackoff is the first pause of a worker loop after a failed
+// shard; it doubles with each consecutive failure, up to 5 s.
+const failBackoff = 200 * time.Millisecond
 
 func (o Options) shardCount(candidates int) int {
 	n := o.Shards
@@ -188,9 +196,6 @@ func shardBounds(candidates, n, rowWidth int) [][2]int {
 func run[R, D any](ctx context.Context, f family[R, D], o Options) (*D, error) {
 	if o.MaxAttempts == 0 {
 		o.MaxAttempts = 8
-	}
-	if o.Poll == 0 {
-		o.Poll = 50 * time.Millisecond
 	}
 	doc, err := runShards(ctx, f, o)
 	if err != nil {
@@ -329,7 +334,7 @@ func workerLoop[R, D any](ctx context.Context, base string, f family[R, D], boun
 		case idx = <-dispatch:
 		}
 		start := time.Now()
-		raw, err := runShardOn(ctx, base, f.shardKind(), f.shardJob(bounds[idx][0], bounds[idx][1], o.PaceMs), o.Poll)
+		raw, err := runShardOn(ctx, base, f.shardKind(), f.shardJob(bounds[idx][0], bounds[idx][1], o.PaceMs))
 		var rep *R
 		if err == nil {
 			rep = new(R)
@@ -347,7 +352,7 @@ func workerLoop[R, D any](ctx context.Context, base string, f family[R, D], boun
 			continue
 		}
 		consecFails++
-		backoff := 4 * o.Poll << min(consecFails, 6)
+		backoff := failBackoff << min(consecFails, 6)
 		if backoff > 5*time.Second {
 			backoff = 5 * time.Second
 		}
@@ -356,27 +361,71 @@ func workerLoop[R, D any](ctx context.Context, base string, f family[R, D], boun
 }
 
 // runShardOn runs one shard job on a worker daemon over the jobs API:
-// submit (honoring 429 Retry-After backpressure), poll to a terminal
-// state, fetch the raw result document.
-func runShardOn(ctx context.Context, base, kind string, job any, poll time.Duration) ([]byte, error) {
+// submit (honoring 429 Retry-After backpressure), wait for the done
+// frame of the job's event stream, fetch the raw result document.
+func runShardOn(ctx context.Context, base, kind string, job any) ([]byte, error) {
 	id, err := submitJob(ctx, base, kind, job)
 	if err != nil {
 		return nil, err
 	}
-	for {
+	state, err := waitJob(ctx, base, id)
+	if err != nil {
+		return nil, err
+	}
+	if state != jobs.Done {
 		j, err := getJob(ctx, base, id)
 		if err != nil {
 			return nil, err
 		}
-		switch j.State {
-		case jobs.Done:
-			return fetchShardResult(ctx, base, id)
-		case jobs.Failed, jobs.Canceled:
-			return nil, fmt.Errorf("cluster: shard job %s on %s %s: %s", id, base, j.State, j.Error)
+		return nil, fmt.Errorf("cluster: shard job %s on %s %s: %s", id, base, j.State, j.Error)
+	}
+	return fetchShardResult(ctx, base, id)
+}
+
+// waitJob follows job id's SSE event stream on a worker to its
+// `event: done` frame and returns the terminal state the frame
+// carries. A stream that ends first (the worker died or shut down)
+// is an error.
+func waitJob(ctx context.Context, base, id string) (jobs.State, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/jobs/"+id+"/events", nil)
+	if err != nil {
+		return "", err
+	}
+	resp, err := streamClient.Do(req)
+	if err != nil {
+		return "", err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return "", fmt.Errorf("cluster: events %s/jobs/%s: %s", base, id, resp.Status)
+	}
+	br := bufio.NewReader(resp.Body)
+	done := false
+	for {
+		line, err := br.ReadSlice('\n')
+		long := false
+		for err == bufio.ErrBufferFull {
+			// Only data frames outgrow the buffer; skip the rest.
+			long = true
+			_, err = br.ReadSlice('\n')
 		}
-		if err := sleepCtx(ctx, poll); err != nil {
-			return nil, err
+		if err != nil {
+			return "", fmt.Errorf("cluster: events %s/jobs/%s: stream ended before the done frame: %w", base, id, err)
 		}
+		if long {
+			continue
+		}
+		line = bytes.TrimSuffix(line, []byte("\n"))
+		if data, ok := bytes.CutPrefix(line, []byte("data: ")); ok && done {
+			var frame struct {
+				State jobs.State `json:"state"`
+			}
+			if err := json.Unmarshal(data, &frame); err != nil || !frame.State.Terminal() {
+				return "", fmt.Errorf("cluster: events %s/jobs/%s: bad done frame %q", base, id, data)
+			}
+			return frame.State, nil
+		}
+		done = string(line) == "event: done"
 	}
 }
 

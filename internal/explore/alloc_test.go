@@ -14,8 +14,8 @@ import (
 // hot path: full Checks of Algorithm 2 (Workers 1, so no scheduling
 // enters the count) on both backends, at n=5 (7,960 states) and at the
 // sweep-sized n=3 (184 states), where the pooled interning table and
-// key log are at steady state. Measured: 125,551 allocations in memory
-// and 125,571 on the disk store at n=5 (15.8 per state), 1,947 and
+// key log are at steady state. Measured: 125,704 allocations in memory
+// and 125,571 on the disk store at n=5 (15.8 per state), 1,955 and
 // 1,974 at n=3 (10.6 and 10.7 per state). Both backends intern
 // through one table over a key log and keep edges in one edge log, so
 // neither pays an allocation per state for its key or per expanded

@@ -8,31 +8,62 @@ import (
 	"errors"
 	"fmt"
 	"hash/maphash"
+	"math/bits"
 	"sync"
 
 	"setagree/internal/store"
 )
 
 // byteLog is an append-only byte log: a store arena on a disk-backed
-// run, a heap []byte otherwise.
+// run, heap chunks otherwise. Heap chunks never move once allocated —
+// 4 KiB, doubling to 64 KiB, then 64 KiB each — so a growing log
+// neither copies its bytes nor holds two arrays at once, and views
+// into it stay valid while it grows.
 type byteLog struct {
-	arena *store.Arena
-	heap  []byte
+	arena  *store.Arena
+	chunks [][]byte // heap chunks, each allocated at its full size
+	n      int64    // heap bytes appended
+}
+
+const (
+	minChunkShift = 12 // the first heap chunk holds 4 KiB
+	maxChunkShift = 16 // chunks stop doubling at 64 KiB
+	// growBytes is what the doubling chunks hold: 4+8+16+32 KiB.
+	growBytes = 1<<maxChunkShift - 1<<minChunkShift
+)
+
+// chunkAt locates heap offset off: its chunk index and the offset
+// within that chunk.
+func chunkAt(off int64) (int, int64) {
+	if off < growBytes {
+		i := bits.Len64(uint64(off>>minChunkShift)+1) - 1
+		return i, off - (1<<(minChunkShift+i) - 1<<minChunkShift)
+	}
+	off -= growBytes
+	return maxChunkShift - minChunkShift + int(off>>maxChunkShift), off & (1<<maxChunkShift - 1)
+}
+
+// chunkSize is the size of heap chunk i.
+func chunkSize(i int) int {
+	return 1 << min(minChunkShift+i, maxChunkShift)
 }
 
 // append writes b at the end of the log and returns its start offset.
-// A heap log doubles its capacity when full: append's gentler growth
-// for large slices would allocate and copy a big log several times
-// over.
 func (l *byteLog) append(b []byte) (int64, error) {
 	if l.arena != nil {
 		return l.arena.Append(b)
 	}
-	if n := len(l.heap) + len(b); n > cap(l.heap) {
-		l.heap = append(make([]byte, 0, max(2*cap(l.heap), n)), l.heap...)
+	start := l.n
+	for len(b) > 0 {
+		i, co := chunkAt(l.n)
+		if i == len(l.chunks) {
+			l.chunks = append(l.chunks, make([]byte, chunkSize(i)))
+		}
+		k := copy(l.chunks[i][co:], b)
+		b = b[k:]
+		l.n += int64(k)
 	}
-	l.heap = append(l.heap, b...)
-	return int64(len(l.heap) - len(b)), nil
+	return start, nil
 }
 
 // len returns the number of bytes appended so far.
@@ -40,27 +71,57 @@ func (l *byteLog) len() int64 {
 	if l.arena != nil {
 		return l.arena.Len()
 	}
-	return int64(len(l.heap))
+	return l.n
+}
+
+// reset empties the log and re-targets it at arena (nil: the heap). A
+// heap log keeps its chunks for the next use.
+func (l *byteLog) reset(arena *store.Arena) {
+	l.arena, l.n = arena, 0
 }
 
 // record returns the log bytes [start, end): a zero-copy view unless
-// the record straddles an arena chunk boundary (see store.Arena.Record).
+// the record straddles a chunk boundary, in which case it is copied
+// into scratch, returned for reuse as buf (nil scratch allocates a
+// private copy), as store.Arena.Record does.
 func (l *byteLog) record(start, end int64, scratch []byte) (rec, buf []byte) {
 	if l.arena != nil {
 		return l.arena.Record(start, end, scratch)
 	}
-	return l.heap[start:end], scratch
+	if end <= start {
+		return nil, scratch
+	}
+	i, co := chunkAt(start)
+	if c := l.chunks[i]; end-start <= int64(len(c))-co {
+		return c[co : co+end-start], scratch
+	}
+	buf = scratch[:0]
+	for start < end {
+		i, co = chunkAt(start)
+		c := l.chunks[i][co:]
+		c = c[:min(int64(len(c)), end-start)]
+		buf = append(buf, c...)
+		start += int64(len(c))
+	}
+	return buf, buf
 }
 
 // sections returns zero-copy views covering the log's prefix [0, upTo).
-// They stay stable while the log only grows at or beyond upTo: arena
-// chunks never move, and a heap reallocation leaves the old array
-// intact.
+// They stay stable while the log only grows at or beyond upTo: neither
+// arena nor heap chunks ever move.
 func (l *byteLog) sections(upTo int64) [][]byte {
 	if l.arena != nil {
 		return l.arena.Sections(upTo)
 	}
-	return [][]byte{l.heap[:upTo]}
+	var out [][]byte
+	for off := int64(0); off < upTo; {
+		i, co := chunkAt(off)
+		c := l.chunks[i][co:]
+		c = c[:min(int64(len(c)), upTo-off)]
+		out = append(out, c)
+		off += int64(len(c))
+	}
+	return out
 }
 
 // slot is one table entry, 24 bytes. klen == 0 marks an empty slot
@@ -97,7 +158,7 @@ var tablePool = sync.Pool{New: func() any { return &internTable{seed: maphash.Ma
 
 // reset empties t for a check whose key log is arena (nil: the heap),
 // with cleared slots sized for as many keys as t held in its previous
-// check. The heap key bytes keep their capacity.
+// check. The heap key log keeps its chunks.
 func (t *internTable) reset(arena *store.Arena) {
 	size := minSlots
 	for 4*t.n > 3*size {
@@ -109,7 +170,7 @@ func (t *internTable) reset(arena *store.Arena) {
 	t.slots = t.slots[:size]
 	clear(t.slots)
 	t.n = 0
-	t.keys = byteLog{arena: arena, heap: t.keys.heap[:0]}
+	t.keys.reset(arena)
 }
 
 // lookup returns the id of key, if interned.
@@ -122,7 +183,7 @@ func (t *internTable) lookup(key []byte) (int, bool) {
 			return 0, false
 		}
 		if sl.hash == h && int(sl.klen) == len(key) {
-			// A key straddling an arena chunk is copied; that is one key
+			// A key straddling a chunk boundary is copied; that is one key
 			// per chunk, so lookups share no scratch.
 			if rec, _ := t.keys.record(sl.off, sl.off+int64(len(key)), nil); bytes.Equal(rec, key) {
 				return int(sl.id), true

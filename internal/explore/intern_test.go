@@ -314,3 +314,102 @@ func TestInternTableIDWidth(t *testing.T) {
 		t.Fatal("refused key is interned")
 	}
 }
+
+// TestByteLogHeapMatchesArena: a heap byteLog and an arena one fed the
+// same random appends agree on len, on every record and on the bytes
+// of their sections. The appends run past several fixed 64 KiB heap
+// chunks and include records larger than one chunk; records straddle
+// every heap chunk boundary, from 4 KiB to 64 KiB and beyond. A reset
+// heap log, reusing its chunks, must agree again with a fresh arena.
+func TestByteLogHeapMatchesArena(t *testing.T) {
+	s, err := store.Open(store.Options{Dir: t.TempDir(), ChunkBytes: 4096}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rng := rand.New(rand.NewSource(1))
+	var heap byteLog
+	for round, arena := range []*store.Arena{s.Keys, s.Edges} {
+		heap.reset(nil)
+		logs := map[string]*byteLog{"heap": &heap, "arena": {arena: arena}}
+		var ref []byte
+		var starts []int64
+		for len(ref) < 400<<10 {
+			n := 1 + rng.Intn(300)
+			if rng.Intn(40) == 0 {
+				n = 1<<maxChunkShift + rng.Intn(5000)
+			}
+			b := make([]byte, n)
+			rng.Read(b)
+			for name, l := range logs {
+				if off, err := l.append(b); err != nil || off != int64(len(ref)) {
+					t.Fatalf("round %d %s: append at %d = %d, %v", round, name, len(ref), off, err)
+				}
+			}
+			starts = append(starts, int64(len(ref)))
+			ref = append(ref, b...)
+		}
+		size := int64(len(ref))
+		check := func(start, end int64) {
+			t.Helper()
+			start, end = max(start, 0), min(end, size)
+			if start >= end {
+				return
+			}
+			for name, l := range logs {
+				rec, _ := l.record(start, end, nil)
+				if !bytes.Equal(rec, ref[start:end]) {
+					t.Fatalf("round %d %s: record [%d,%d) differs", round, name, start, end)
+				}
+				scratch := make([]byte, 0, 16)
+				if rec, buf := l.record(start, end, scratch); !bytes.Equal(rec, ref[start:end]) || (len(buf) > 0 && &rec[0] != &buf[0]) {
+					t.Fatalf("round %d %s: record [%d,%d) with scratch differs", round, name, start, end)
+				}
+			}
+		}
+		for name, l := range logs {
+			if l.len() != size {
+				t.Fatalf("round %d %s: len %d, want %d", round, name, l.len(), size)
+			}
+		}
+		for i, start := range starts {
+			end := size
+			if i+1 < len(starts) {
+				end = starts[i+1]
+			}
+			check(start, end)
+		}
+		var bounds []int64
+		for i, b := 0, int64(0); b < size; i++ {
+			b += int64(chunkSize(i))
+			bounds = append(bounds, b)
+			if c, co := chunkAt(b - 1); c != i || co != int64(chunkSize(i))-1 {
+				t.Fatalf("chunkAt(%d) = %d,%d; want the last byte of chunk %d", b-1, c, co, i)
+			}
+			if c, co := chunkAt(b); c != i+1 || co != 0 {
+				t.Fatalf("chunkAt(%d) = %d,%d; want the first byte of chunk %d", b, c, co, i+1)
+			}
+		}
+		if len(bounds) < 8 || bounds[4] != 124<<10 {
+			t.Fatalf("heap chunk bounds %v: want 4, 12, 28, 60, 124 KiB, then 64 KiB steps", bounds)
+		}
+		for _, b := range bounds {
+			for _, w := range []int64{1, 2, 7, 300, 1<<maxChunkShift + 10} {
+				for _, d := range []int64{-w, -w / 2, -1, 0, 1} {
+					check(b+d, b+d+w)
+				}
+			}
+		}
+		// A record inside one heap chunk is a view of it, not a copy.
+		if rec, _ := heap.record(5000, 5100, nil); &rec[0] != &heap.chunks[1][5000-4096] {
+			t.Fatal("in-chunk heap record was copied")
+		}
+		for _, upTo := range append([]int64{0, 1, 4095, size / 3, size}, bounds[:len(bounds)-1]...) {
+			for name, l := range logs {
+				if got := bytes.Join(l.sections(upTo), nil); !bytes.Equal(got, ref[:upTo]) {
+					t.Fatalf("round %d %s: sections(%d) hold different bytes", round, name, upTo)
+				}
+			}
+		}
+	}
+}

@@ -343,3 +343,39 @@ func (s *Store) ReadJobFile(id, name string) ([]byte, error) {
 func (s *Store) ReadEvents(id string) ([]byte, error) {
 	return s.ReadJobFile(id, "events.jsonl")
 }
+
+// ReadEventsFrom returns the job's event stream from byte offset off
+// on, hot or archived, and the offset those bytes start at: off, or 0
+// when the stream is shorter than off (a resumed job truncated it). A
+// hot stream is read from off alone, so a tail that calls it on every
+// new line reads each byte once.
+func (s *Store) ReadEventsFrom(id string, off int64) ([]byte, int64, error) {
+	f, err := os.Open(s.EventsPath(id))
+	if os.IsNotExist(err) {
+		buf, err := s.ReadEvents(id)
+		if err != nil {
+			return nil, off, err
+		}
+		if int64(len(buf)) < off {
+			off = 0
+		}
+		return buf[off:], off, nil
+	}
+	if err != nil {
+		return nil, off, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, off, err
+	}
+	if fi.Size() < off {
+		off = 0
+	}
+	buf := make([]byte, fi.Size()-off)
+	n, err := f.ReadAt(buf, off)
+	if err == io.EOF {
+		err = nil // the file shrank since Stat; a later read catches up
+	}
+	return buf[:n], off, err
+}

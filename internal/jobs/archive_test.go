@@ -258,3 +258,37 @@ func TestSizes(t *testing.T) {
 		t.Error("archive empty after sweep")
 	}
 }
+
+// TestReadEventsFrom: a tail reads a hot stream from its offset, starts
+// over at 0 when the stream is shorter than the offset (a resumed run
+// truncated it), and reads an archived stream the same way.
+func TestReadEventsFrom(t *testing.T) {
+	t.Parallel()
+	s, _ := newArchivedStore(t, ArchivePolicy{})
+	const events = "{\"seq\":1}\n{\"seq\":2}\n"
+	j := finishJob(t, s, `{}`, events, `{}`)
+	for _, archived := range []bool{false, true} {
+		if archived {
+			if st, err := s.Sweep(); err != nil || st.Archived != 1 {
+				t.Fatalf("sweep: %+v, %v", st, err)
+			}
+		}
+		for _, tc := range []struct {
+			off, wantOff int64
+			want         string
+		}{
+			{0, 0, events},
+			{10, 10, events[10:]},
+			{int64(len(events)), int64(len(events)), ""},
+			{int64(len(events)) + 1, 0, events},
+		} {
+			buf, off, err := s.ReadEventsFrom(j.ID, tc.off)
+			if err != nil || off != tc.wantOff || string(buf) != tc.want {
+				t.Errorf("archived=%v: ReadEventsFrom(%d) = %q, %d, %v; want %q, %d", archived, tc.off, buf, off, err, tc.want, tc.wantOff)
+			}
+		}
+	}
+	if _, _, err := s.ReadEventsFrom("job-999999", 0); err == nil {
+		t.Error("ReadEventsFrom of an unknown job succeeded")
+	}
+}

@@ -100,6 +100,13 @@ type Store struct {
 
 	archive      ArchivePolicy
 	archiveBytes int64
+
+	// watchMu guards waiters: per non-terminal job, the channel Watch
+	// armed, closed at the job's next transition or events-file write.
+	// Lock order is mu, then watchMu; the events-file write path takes
+	// watchMu alone, since mu is held across journal fsyncs.
+	watchMu sync.Mutex
+	waiters map[string]chan struct{}
 }
 
 // Open loads (or initialises) the store rooted at dir: the journal is
@@ -109,7 +116,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "jobs"), 0o755); err != nil {
 		return nil, err
 	}
-	s := &Store{dir: dir, jobs: make(map[string]*Job), now: time.Now}
+	s := &Store{dir: dir, jobs: make(map[string]*Job), now: time.Now, waiters: make(map[string]chan struct{})}
 	path := filepath.Join(dir, "journal.jsonl")
 	if buf, err := os.ReadFile(path); err == nil {
 		for _, line := range strings.Split(string(buf), "\n") {
@@ -293,6 +300,13 @@ func idBefore(a, b string) bool {
 // string compare would break FIFO at the job-1000000 rollover) to
 // running and returns it; ok is false when the queue is empty.
 func (s *Store) Claim() (Job, bool, error) {
+	j, _, ok, err := s.claim()
+	return j, ok, err
+}
+
+// claim is Claim that also returns when the claimed job last became
+// pending (submitted or requeued), the start of its queue wait.
+func (s *Store) claim() (job Job, pendingSince time.Time, ok bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var pick *Job
@@ -302,7 +316,7 @@ func (s *Store) Claim() (Job, bool, error) {
 		}
 	}
 	if pick == nil {
-		return Job{}, false, nil
+		return Job{}, time.Time{}, false, nil
 	}
 	prev := *pick
 	pick.State = Running
@@ -310,10 +324,11 @@ func (s *Store) Claim() (Job, bool, error) {
 	pick.Updated = time.Now().UTC()
 	if err := s.appendLocked(pick, false); err != nil {
 		*pick = prev
-		return Job{}, false, err
+		return Job{}, time.Time{}, false, err
 	}
 	s.drainLocked()
-	return *pick, true, nil
+	s.notify(pick.ID)
+	return *pick, prev.Updated, true, nil
 }
 
 // Transition records a state change. Terminal jobs reject further
@@ -343,8 +358,86 @@ func (s *Store) Transition(id string, to State, errMsg string) (Job, error) {
 	if prev.State == Pending && to != Pending {
 		s.drainLocked() // e.g. a pending job canceled: the queue shrank
 	}
+	s.notify(id)
 	return *j, nil
 }
+
+// Watch returns a copy of the job and a channel that is closed at the
+// job's next recorded transition or write to its events file (see
+// OpenEvents). Taking the snapshot and arming the channel is atomic,
+// so a caller that reads the events file after Watch misses nothing:
+// any later change closes the channel. All watchers of a job share
+// its channel, so one change wakes them all. A terminal job never
+// changes again: Watch arms nothing for it and returns a nil channel.
+func (s *Store) Watch(id string) (Job, <-chan struct{}, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j, ok := s.jobs[id]
+	if !ok {
+		return Job{}, nil, fmt.Errorf("%w: %s", ErrUnknownJob, id)
+	}
+	if j.State.Terminal() {
+		return *j, nil, nil
+	}
+	s.watchMu.Lock()
+	defer s.watchMu.Unlock()
+	ch, ok := s.waiters[id]
+	if !ok {
+		ch = make(chan struct{})
+		s.waiters[id] = ch
+	}
+	return *j, ch, nil
+}
+
+// notify wakes the watchers of job id, if any.
+func (s *Store) notify(id string) {
+	s.watchMu.Lock()
+	defer s.watchMu.Unlock()
+	if ch, ok := s.waiters[id]; ok {
+		close(ch)
+		delete(s.waiters, id)
+	}
+}
+
+// OpenEvents opens the job's events file for a run: appending when
+// resume is set (the runner has trimmed it to its checkpoint), and
+// truncated otherwise, which drops any stale stream of an earlier
+// attempt. Every write to it wakes the job's watchers.
+func (s *Store) OpenEvents(id string, resume bool) (*EventsFile, error) {
+	flags := os.O_CREATE | os.O_WRONLY
+	if resume {
+		flags |= os.O_APPEND
+	} else {
+		flags |= os.O_TRUNC
+	}
+	f, err := os.OpenFile(s.EventsPath(id), flags, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return &EventsFile{f: f, s: s, id: id}, nil
+}
+
+// EventsFile is a job's events file open for writing (see OpenEvents).
+type EventsFile struct {
+	f  *os.File
+	s  *Store
+	id string
+}
+
+// Write appends p to the file, then wakes the job's watchers.
+func (e *EventsFile) Write(p []byte) (int, error) {
+	n, err := e.f.Write(p)
+	if n > 0 {
+		e.s.notify(e.id)
+	}
+	return n, err
+}
+
+// Sync flushes the file to stable storage.
+func (e *EventsFile) Sync() error { return e.f.Sync() }
+
+// Close closes the file.
+func (e *EventsFile) Close() error { return e.f.Close() }
 
 // drainLocked records one pending job leaving the queue. The history
 // is capped; RetryAfter only ever looks at the recent window.

@@ -5,6 +5,22 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
+	"time"
+
+	"setagree/internal/obs"
+)
+
+// Job lifecycle histograms the pool records, in nanoseconds, one per
+// job kind under the name, "|" and the kind. Durations run between the
+// journaled transition times: QueueWaitMetric from when a job last
+// became pending (submitted or requeued) to its claim, RunMetric from
+// the claim to the terminal transition, TotalMetric the two together.
+// A requeued attempt records its queue wait only.
+const (
+	QueueWaitMetric = "dacd.job.queue_wait_ns"
+	RunMetric       = "dacd.job.run_ns"
+	TotalMetric     = "dacd.job.total_ns"
 )
 
 // ErrCancelRequested is the cancellation cause a user cancel injects
@@ -18,8 +34,10 @@ var errDraining = errors.New("jobs: pool draining")
 // Runner executes one job. It runs with the job's working directory
 // already provisioned (store.Dir/CheckpointPath/EventsPath) and must
 // honour ctx: stop at the next safe point, persist a checkpoint if it
-// supports one, and return an error wrapping ctx's. The returned bytes
-// become the job's result document on success.
+// supports one, and return an error wrapping ctx's. It writes its
+// event stream through store.OpenEvents, so the job's watchers see
+// each line as it lands. The returned bytes become the job's result
+// document on success.
 type Runner func(ctx context.Context, store *Store, job Job) ([]byte, error)
 
 // Pool pulls pending jobs from a Store and runs them on a fixed set of
@@ -30,6 +48,7 @@ type Pool struct {
 	store   *Store
 	runners map[string]Runner
 	wake    chan struct{}
+	sink    atomic.Pointer[obs.Sink] // lifecycle histograms (see Observe)
 
 	mu       sync.Mutex
 	inflight map[string]context.CancelCauseFunc
@@ -60,6 +79,11 @@ func NewPool(store *Store, workers int, runners map[string]Runner) *Pool {
 	}
 	return p
 }
+
+// Observe directs the pool's job lifecycle histograms (QueueWaitMetric,
+// RunMetric, TotalMetric) into sink from the next claim on; nil, the
+// default, records none.
+func (p *Pool) Observe(sink *obs.Sink) { p.sink.Store(sink) }
 
 // Submit enqueues a job and nudges an idle worker.
 func (p *Pool) Submit(kind string, spec []byte) (Job, error) {
@@ -133,7 +157,7 @@ func (p *Pool) worker(ctx context.Context) {
 		if draining || ctx.Err() != nil {
 			return
 		}
-		job, ok, err := p.store.Claim()
+		job, pendingSince, ok, err := p.store.claim()
 		if err != nil || !ok {
 			select {
 			case <-p.wake:
@@ -142,17 +166,18 @@ func (p *Pool) worker(ctx context.Context) {
 			}
 			continue
 		}
-		p.runOne(ctx, job)
+		p.sink.Load().Histogram(QueueWaitMetric + "|" + job.Kind).ObserveDuration(job.Updated.Sub(pendingSince))
+		p.runOne(ctx, job, pendingSince)
 		p.poke() // more work may be queued behind this job
 	}
 }
 
 // runOne executes one claimed job and records its terminal state (or
 // requeues it on drain).
-func (p *Pool) runOne(ctx context.Context, job Job) {
+func (p *Pool) runOne(ctx context.Context, job Job, pendingSince time.Time) {
 	runner, ok := p.runners[job.Kind]
 	if !ok {
-		p.store.Transition(job.ID, Failed, fmt.Sprintf("no runner for kind %q", job.Kind))
+		p.finish(job, pendingSince, Failed, fmt.Sprintf("no runner for kind %q", job.Kind))
 		return
 	}
 	jctx, cancel := context.WithCancelCause(ctx)
@@ -171,17 +196,29 @@ func (p *Pool) runOne(ctx context.Context, job Job) {
 	switch {
 	case err == nil:
 		if werr := p.store.WriteResult(job.ID, result); werr != nil {
-			p.store.Transition(job.ID, Failed, fmt.Sprintf("persisting result: %v", werr))
+			p.finish(job, pendingSince, Failed, fmt.Sprintf("persisting result: %v", werr))
 			return
 		}
-		p.store.Transition(job.ID, Done, "")
+		p.finish(job, pendingSince, Done, "")
 	case errors.Is(cause, ErrCancelRequested):
-		p.store.Transition(job.ID, Canceled, err.Error())
+		p.finish(job, pendingSince, Canceled, err.Error())
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		// Shutdown (drain or parent context): back to the queue; the
 		// runner left a checkpoint, so the next claim resumes.
-		p.store.Transition(job.ID, Pending, "")
+		p.finish(job, pendingSince, Pending, "")
 	default:
-		p.store.Transition(job.ID, Failed, err.Error())
+		p.finish(job, pendingSince, Failed, err.Error())
 	}
+}
+
+// finish records the claimed job's next state and, when that state is
+// terminal, its run and total histograms.
+func (p *Pool) finish(job Job, pendingSince time.Time, to State, msg string) {
+	end, err := p.store.Transition(job.ID, to, msg)
+	if err != nil || !to.Terminal() {
+		return
+	}
+	sink := p.sink.Load()
+	sink.Histogram(RunMetric + "|" + job.Kind).ObserveDuration(end.Updated.Sub(job.Updated))
+	sink.Histogram(TotalMetric + "|" + job.Kind).ObserveDuration(end.Updated.Sub(pendingSince))
 }
