@@ -39,11 +39,16 @@ func (PACFace) Deterministic() bool { return true }
 
 // Step implements spec.Spec.
 func (f PACFace) Step(s spec.State, op value.Op) ([]spec.Transition, error) {
+	return f.StepAppend(nil, s, op)
+}
+
+// StepAppend implements the spec.StepAppend extension.
+func (f PACFace) StepAppend(dst []spec.Transition, s spec.State, op value.Op) ([]spec.Transition, error) {
 	switch op.Method {
 	case value.MethodProposeAt:
-		return f.Inner.Step(s, value.ProposeP(op.Arg, op.Label))
+		return f.Inner.StepAppend(dst, s, value.ProposeP(op.Arg, op.Label))
 	case value.MethodDecide:
-		return f.Inner.Step(s, value.DecideP(op.Label))
+		return f.Inner.StepAppend(dst, s, value.DecideP(op.Label))
 	default:
 		return nil, spec.BadOpError(f.Name(), op, "n-PAC face supports PROPOSE_AT and DECIDE only")
 	}
@@ -74,8 +79,13 @@ func (ConsensusFace) Deterministic() bool { return true }
 
 // Step implements spec.Spec.
 func (f ConsensusFace) Step(s spec.State, op value.Op) ([]spec.Transition, error) {
+	return f.StepAppend(nil, s, op)
+}
+
+// StepAppend implements the spec.StepAppend extension.
+func (f ConsensusFace) StepAppend(dst []spec.Transition, s spec.State, op value.Op) ([]spec.Transition, error) {
 	if op.Method != value.MethodPropose {
 		return nil, spec.BadOpError(f.Name(), op, "consensus face supports PROPOSE only")
 	}
-	return f.Inner.Step(s, value.ProposeC(op.Arg))
+	return f.Inner.StepAppend(dst, s, value.ProposeC(op.Arg))
 }

@@ -123,9 +123,15 @@ func (o OPrime) Component(k int) objects.SetAgreement {
 	return objects.NewSetAgreement(o.Power.At(k), k)
 }
 
-// Step implements spec.Spec: PROPOSE(v, k) is redirected to the
-// (n_k,k)-SA component for k = op.Label.
+// Step implements spec.Spec.
 func (o OPrime) Step(s spec.State, op value.Op) ([]spec.Transition, error) {
+	return o.StepAppend(nil, s, op)
+}
+
+// StepAppend implements the spec.StepAppend extension: PROPOSE(v, k) is
+// redirected to the (n_k,k)-SA component for k = op.Label. Every
+// branch gets a new component map, so nothing is recycled.
+func (o OPrime) StepAppend(dst []spec.Transition, s spec.State, op value.Op) ([]spec.Transition, error) {
 	st, ok := s.(OPrimeState)
 	if !ok {
 		return nil, spec.BadOpError(o.Name(), op, "foreign state")
@@ -145,14 +151,13 @@ func (o OPrime) Step(s spec.State, op value.Op) ([]spec.Transition, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]spec.Transition, len(ts))
-	for i, t := range ts {
+	for _, t := range ts {
 		next := make(map[int]spec.State, len(st.Components)+1)
 		for k, v := range st.Components {
 			next[k] = v
 		}
 		next[op.Label] = t.Next
-		out[i] = spec.Transition{Next: OPrimeState{Components: next}, Resp: t.Resp}
+		dst = append(dst, spec.Transition{Next: OPrimeState{Components: next}, Resp: t.Resp})
 	}
-	return out, nil
+	return dst, nil
 }

@@ -98,9 +98,16 @@ func (o OPrimeFromBase) Init() spec.State {
 // Deterministic reports nondeterminism (the 2-SA components branch).
 func (OPrimeFromBase) Deterministic() bool { return false }
 
-// Step implements spec.Spec: PROPOSE(v, 1) goes to the n-consensus
-// component, PROPOSE(v, k) for k >= 2 to the level's 2-SA component.
+// Step implements spec.Spec.
 func (o OPrimeFromBase) Step(s spec.State, op value.Op) ([]spec.Transition, error) {
+	return o.StepAppend(nil, s, op)
+}
+
+// StepAppend implements the spec.StepAppend extension: PROPOSE(v, 1)
+// goes to the n-consensus component, PROPOSE(v, k) for k >= 2 to the
+// level's 2-SA component. Every successor gets new component states (and
+// a new 2-SA map), so nothing is recycled.
+func (o OPrimeFromBase) StepAppend(dst []spec.Transition, s spec.State, op value.Op) ([]spec.Transition, error) {
 	st, ok := s.(OPrimeBaseState)
 	if !ok {
 		return nil, spec.BadOpError(o.Name(), op, "foreign state")
@@ -116,10 +123,10 @@ func (o OPrimeFromBase) Step(s spec.State, op value.Op) ([]spec.Transition, erro
 		if err != nil {
 			return nil, err
 		}
-		return []spec.Transition{{
+		return append(dst, spec.Transition{
 			Next: OPrimeBaseState{Consensus: ts[0].Next, TwoSA: st.TwoSA},
 			Resp: ts[0].Resp,
-		}}, nil
+		}), nil
 	}
 	comp := objects.NewTwoSA()
 	cs, found := st.TwoSA[op.Label]
@@ -130,17 +137,16 @@ func (o OPrimeFromBase) Step(s spec.State, op value.Op) ([]spec.Transition, erro
 	if err != nil {
 		return nil, err
 	}
-	out := make([]spec.Transition, len(ts))
-	for i, t := range ts {
+	for _, t := range ts {
 		next := make(map[int]spec.State, len(st.TwoSA)+1)
 		for k, v := range st.TwoSA {
 			next[k] = v
 		}
 		next[op.Label] = t.Next
-		out[i] = spec.Transition{
+		dst = append(dst, spec.Transition{
 			Next: OPrimeBaseState{Consensus: st.Consensus, TwoSA: next},
 			Resp: t.Resp,
-		}
+		})
 	}
-	return out, nil
+	return dst, nil
 }

@@ -24,6 +24,9 @@ const nilLabel = 0
 //     label i is PROPOSE(v, i);
 //   - L, initially NIL — L = i iff the last operation is PROPOSE(-, i);
 //   - Val, initially NIL — the consensus value.
+//
+// n-PAC objects hand states out by pointer so StepAppend can recycle
+// them.
 type PACState struct {
 	// V is the per-label proposal array; index 0 is label 1.
 	V []value.Value
@@ -37,7 +40,7 @@ type PACState struct {
 }
 
 // Key implements spec.State.
-func (s PACState) Key() string {
+func (s *PACState) Key() string {
 	var b strings.Builder
 	if s.Upset {
 		b.WriteByte('U')
@@ -53,7 +56,7 @@ func (s PACState) Key() string {
 }
 
 // AppendKey implements spec.State.
-func (s PACState) AppendKey(dst []byte) []byte {
+func (s *PACState) AppendKey(dst []byte) []byte {
 	upset := byte(0)
 	if s.Upset {
 		upset = 1
@@ -68,14 +71,7 @@ func (s PACState) AppendKey(dst []byte) []byte {
 	return dst
 }
 
-var _ spec.State = PACState{}
-
-func (s PACState) clone() PACState {
-	v := make([]value.Value, len(s.V))
-	copy(v, s.V)
-	s.V = v
-	return s
-}
+var _ spec.State = (*PACState)(nil)
 
 // PAC is the sequential specification of the n-PAC object (§3,
 // Algorithm 1). It is deterministic and, unlike the n-DAC object of [9]
@@ -100,16 +96,22 @@ func (p PAC) Init() spec.State {
 	for i := range v {
 		v[i] = value.None
 	}
-	return PACState{V: v, Val: value.None, L: nilLabel}
+	return &PACState{V: v, Val: value.None, L: nilLabel}
 }
 
 // Deterministic reports that n-PAC objects are deterministic (§3: "a
 // non-abortable and deterministic version of the abortable n-DAC").
 func (PAC) Deterministic() bool { return true }
 
-// Step implements spec.Spec, transcribing Algorithm 1 line by line.
+// Step implements spec.Spec.
 func (p PAC) Step(s spec.State, op value.Op) ([]spec.Transition, error) {
-	st, ok := s.(PACState)
+	return p.StepAppend(nil, s, op)
+}
+
+// StepAppend implements the spec.StepAppend extension, transcribing
+// Algorithm 1 line by line.
+func (p PAC) StepAppend(dst []spec.Transition, s spec.State, op value.Op) ([]spec.Transition, error) {
+	st, ok := s.(*PACState)
 	if !ok || len(st.V) != p.N {
 		return nil, spec.BadOpError(p.Name(), op, "foreign state")
 	}
@@ -121,7 +123,7 @@ func (p PAC) Step(s spec.State, op value.Op) ([]spec.Transition, error) {
 		if op.Label < 1 || op.Label > p.N {
 			return nil, spec.BadOpError(p.Name(), op, "label out of range")
 		}
-		next := st.clone()
+		next := recycledCopy(dst, st)
 		if next.V[op.Label-1] != value.None { // line 2
 			next.Upset = true
 		}
@@ -129,18 +131,18 @@ func (p PAC) Step(s spec.State, op value.Op) ([]spec.Transition, error) {
 			next.L = op.Label
 			next.V[op.Label-1] = op.Arg
 		}
-		return []spec.Transition{{Next: next, Resp: value.Done}}, nil // line 6
+		return append(dst, spec.Transition{Next: next, Resp: value.Done}), nil // line 6
 
 	case value.MethodDecide:
 		if op.Label < 1 || op.Label > p.N {
 			return nil, spec.BadOpError(p.Name(), op, "label out of range")
 		}
-		next := st.clone()
+		next := recycledCopy(dst, st)
 		if next.V[op.Label-1] == value.None { // line 8
 			next.Upset = true
 		}
 		if next.Upset { // line 9
-			return []spec.Transition{{Next: next, Resp: value.Bottom}}, nil
+			return append(dst, spec.Transition{Next: next, Resp: value.Bottom}), nil
 		}
 		var temp value.Value
 		if next.L != op.Label { // lines 10-11
@@ -151,18 +153,28 @@ func (p PAC) Step(s spec.State, op value.Op) ([]spec.Transition, error) {
 			}
 			temp = next.Val
 		}
-		next.L = nilLabel                                       // line 15
-		next.V[op.Label-1] = value.None                         // line 16
-		return []spec.Transition{{Next: next, Resp: temp}}, nil // line 17
+		next.L = nilLabel                                                // line 15
+		next.V[op.Label-1] = value.None                                  // line 16
+		return append(dst, spec.Transition{Next: next, Resp: temp}), nil // line 17
 
 	default:
 		return nil, spec.BadOpError(p.Name(), op, "n-PAC supports PROPOSE_AT and DECIDE only")
 	}
 }
 
+// recycledCopy returns a copy of st in the state StepAppend recycles
+// from dst's first spare entry, or in a new one.
+func recycledCopy(dst []spec.Transition, st *PACState) *PACState {
+	next := spec.Recycle[PACState](dst, st)
+	v := append(next.V[:0], st.V...)
+	*next = *st
+	next.V = v
+	return next
+}
+
 // IsUpset reports whether an n-PAC state is upset (Observation 3.1:
 // once upset, upset forever).
 func IsUpset(s spec.State) bool {
-	st, ok := s.(PACState)
+	st, ok := s.(*PACState)
 	return ok && st.Upset
 }

@@ -381,7 +381,7 @@ func TestPACLemma33and34Random(t *testing.T) {
 			if core.IsUpset(st) {
 				return true // lemmas only constrain non-upset states
 			}
-			ps, ok := st.(core.PACState)
+			ps, ok := st.(*core.PACState)
 			if !ok {
 				t.Fatal("state type")
 			}
@@ -443,7 +443,7 @@ func TestPACLemma33Wording(t *testing.T) {
 	st := p.Init()
 	st, _ = applyOne(t, p, st, value.ProposeAt(5, 1))
 	st, _ = applyOne(t, p, st, value.Decide(1))
-	ps := st.(core.PACState)
+	ps := st.(*core.PACState)
 	if ps.V[0] != value.None {
 		t.Fatalf("V[1] = %s after matched decide, want NIL", ps.V[0])
 	}

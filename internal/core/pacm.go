@@ -69,9 +69,17 @@ func (p PACM) Init() spec.State {
 // Deterministic reports that (n,m)-PAC objects are deterministic.
 func (PACM) Deterministic() bool { return true }
 
-// Step implements spec.Spec by redirecting each operation to the
-// appropriate component, exactly as §5 defines.
+// Step implements spec.Spec.
 func (p PACM) Step(s spec.State, op value.Op) ([]spec.Transition, error) {
+	return p.StepAppend(nil, s, op)
+}
+
+// StepAppend implements the spec.StepAppend extension by redirecting
+// each operation to the appropriate component, exactly as §5 defines.
+// The successor shares the untouched component's state, so a PACMState
+// is never recycled: each step boxes a new one around a new component
+// state.
+func (p PACM) StepAppend(dst []spec.Transition, s spec.State, op value.Op) ([]spec.Transition, error) {
 	st, ok := s.(PACMState)
 	if !ok {
 		return nil, spec.BadOpError(p.Name(), op, "foreign state")
@@ -82,19 +90,19 @@ func (p PACM) Step(s spec.State, op value.Op) ([]spec.Transition, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []spec.Transition{{Next: PACMState{P: st.P, C: ts[0].Next}, Resp: ts[0].Resp}}, nil
+		return append(dst, spec.Transition{Next: PACMState{P: st.P, C: ts[0].Next}, Resp: ts[0].Resp}), nil
 	case value.MethodProposeP:
 		ts, err := p.pacSpec().Step(st.P, value.ProposeAt(op.Arg, op.Label))
 		if err != nil {
 			return nil, err
 		}
-		return []spec.Transition{{Next: PACMState{P: ts[0].Next, C: st.C}, Resp: ts[0].Resp}}, nil
+		return append(dst, spec.Transition{Next: PACMState{P: ts[0].Next, C: st.C}, Resp: ts[0].Resp}), nil
 	case value.MethodDecideP:
 		ts, err := p.pacSpec().Step(st.P, value.Decide(op.Label))
 		if err != nil {
 			return nil, err
 		}
-		return []spec.Transition{{Next: PACMState{P: ts[0].Next, C: st.C}, Resp: ts[0].Resp}}, nil
+		return append(dst, spec.Transition{Next: PACMState{P: ts[0].Next, C: st.C}, Resp: ts[0].Resp}), nil
 	default:
 		return nil, spec.BadOpError(p.Name(), op,
 			"(n,m)-PAC supports PROPOSE_C, PROPOSE_P, and DECIDE_P only")

@@ -32,7 +32,7 @@ func appendComponentKeyUnder(dst []byte, s spec.State, p spec.Perm) []byte {
 // label 0 is outside the port range and fixed); Val is a proposal
 // value. Upset is a pure boolean, invariant because slot-occupancy
 // (V[i] != None) is preserved by sentinel-fixing bijections.
-func (s PACState) AppendKeyUnder(dst []byte, p spec.Perm) []byte {
+func (s *PACState) AppendKeyUnder(dst []byte, p spec.Perm) []byte {
 	upset := byte(0)
 	if s.Upset {
 		upset = 1
@@ -47,7 +47,7 @@ func (s PACState) AppendKeyUnder(dst []byte, p spec.Perm) []byte {
 	return dst
 }
 
-var _ spec.Symmetric = PACState{}
+var _ spec.Symmetric = (*PACState)(nil)
 
 // AppendKeyUnder implements spec.Symmetric by delegating to the two
 // components, mirroring AppendKey.

@@ -14,18 +14,20 @@ import (
 // hot path: full Checks of Algorithm 2 (Workers 1, so no scheduling
 // enters the count) on both backends, at n=5 (7,960 states) and at the
 // sweep-sized n=3 (184 states), where the pooled interning table and
-// key log are at steady state. Measured: 125,704 allocations in memory
-// and 125,571 on the disk store at n=5 (15.8 per state), 1,955 and
-// 1,974 at n=3 (10.6 and 10.7 per state). Both backends intern
-// through one table over a key log and keep edges in one edge log, so
-// neither pays an allocation per state for its key or per expanded
-// configuration for its edges. The n=5 bounds add about 1% for pool
-// refills after a GC. The n=3 bounds add about 3%: under -race,
-// sync.Pool drops a random quarter of Puts, and refilling the table
-// and a shardOut costs up to 36 allocations averaged over the runs —
-// 1,983 and 2,011 at most in 8 race runs. A change that brings back
-// per-state keys, per-level buffers, per-configuration edge lists or
-// per-successor Configs trips them.
+// key log are at steady state. Measured: 25,205 allocations in memory
+// and 25,063 on the disk store at n=5 (3.2 and 3.1 per state), 819 and
+// 833 at n=3 (4.5 per state). Workers step objects into recycled
+// transition buffers and resume processes into a reused register file,
+// so a successor costs nothing to key; the merge builds only the
+// successors it interns, and then allocates just the stepped object's
+// state (an n-PAC state is two: the struct and its V array). The n=5
+// bounds add 1%. The n=3 bounds add about 6%: under -race, sync.Pool
+// drops a random quarter of Puts, and refilling the table and a
+// shardOut (with its per-object transition buffers) cost up to 29 and
+// 40 allocations over 21 race runs — 848 and 873 at most. A change that
+// brings back per-state keys, per-level buffers, per-configuration edge
+// lists, per-successor Configs or per-transition object states trips
+// them.
 func TestCheckAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -33,10 +35,10 @@ func TestCheckAllocs(t *testing.T) {
 		store bool
 		max   float64
 	}{
-		{"memory", []value.Value{0, 1, 0, 1, 0}, false, 126900},
-		{"disk", []value.Value{0, 1, 0, 1, 0}, true, 126900},
-		{"n3-memory", []value.Value{1, 0, 0}, false, 2005},
-		{"n3-disk", []value.Value{1, 0, 0}, true, 2035},
+		{"memory", []value.Value{0, 1, 0, 1, 0}, false, 25460},
+		{"disk", []value.Value{0, 1, 0, 1, 0}, true, 25320},
+		{"n3-memory", []value.Value{1, 0, 0}, false, 870},
+		{"n3-disk", []value.Value{1, 0, 0}, true, 885},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			n := len(tc.in)

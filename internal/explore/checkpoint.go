@@ -165,33 +165,42 @@ func (st *search) addCkptNs(d time.Duration) {
 // of the expanded configurations.
 //
 // The tree only grows between barriers — configurations are interned
-// append-only — so its encoded bytes are cached on the search and each
-// snapshot encodes just the delta since the previous one. The edge
-// section needs no encoding at all: it is the edge log's durable
-// prefix, already in this format. The sections are returned by
+// append-only — so its encoded bytes are kept in a heap byte log on the
+// search and each snapshot encodes just the delta since the previous
+// one. The edge section needs no encoding at all: it is the edge log's
+// durable prefix, already in this format. The sections are returned by
 // reference for checkpoint.WriteV, not assembled into one payload: the
 // background writer reads them while the BFS explores on, which is safe
-// because only the next encodeSnapshot call appends to the tree cache,
-// the merge appends to the log only beyond the durable prefix, and
-// every caller drains the in-flight write first (see writeCheckpoint).
-// The file is still rewritten whole — the snapshot stays one atomic,
-// self-checksummed unit.
+// because only the next encodeSnapshot call appends to the tree log,
+// the merge appends to the edge log only beyond the durable prefix,
+// neither log ever moves bytes it holds, and every caller drains the
+// in-flight write first (see writeCheckpoint). The file is still
+// rewritten whole — the snapshot stays one atomic, self-checksummed
+// unit.
 func (st *search) encodeSnapshot() [][]byte {
 	g := st.g
-	buf := st.ckptTree
 	first := st.ckptTreeN
 	if first < 1 {
 		first = 1 // id 0 is the root; the tree section starts at id 1
 	}
+	// Tree records are encoded in batches into the counters scratch,
+	// which is free until the counters are encoded below. A heap byte
+	// log's append cannot fail, so its error is dropped.
+	buf := st.ckptBuf[:0]
 	for id := first; id < len(g.configs); id++ {
+		if len(buf) >= ckptBatch {
+			_, _ = st.ckptTree.append(buf)
+			buf = buf[:0]
+		}
 		n := len(buf)
 		buf = slices.Grow(buf, recMax)[:n+recMax]
 		i := putV(buf, n, int64(g.parent[id]))
 		buf = buf[:putStep(buf, i, g.parentE[id])]
 	}
-	st.ckptTree, st.ckptTreeN = buf, len(g.configs)
+	_, _ = st.ckptTree.append(buf)
+	st.ckptTreeN = len(g.configs)
 
-	e := checkpoint.Enc{Buf: st.ckptBuf[:0]}
+	e := checkpoint.Enc{Buf: buf[:0]}
 	e.Byte(byte(st.opts.Symmetry))
 	order := 0
 	if g.grp != nil {
@@ -209,8 +218,13 @@ func (st *search) encodeSnapshot() [][]byte {
 	e.Varint(st.opts.Events.Seq())
 	e.Int(len(g.configs))
 	st.ckptBuf = e.Buf
-	return append([][]byte{e.Buf, st.ckptTree}, g.edgeLog.sections(g.edgeDurable)...)
+	sections := append([][]byte{e.Buf}, st.ckptTree.sections(st.ckptTree.len())...)
+	return append(sections, g.edgeLog.sections(g.edgeDurable)...)
 }
+
+// ckptBatch is the size of the batches tree records are encoded in
+// before they are appended to the tree log.
+const ckptBatch = 4 << 10
 
 // recMax bounds one encoded tree or edge record, for the single
 // capacity reservation each record's encoder makes: a Step is one raw

@@ -232,14 +232,16 @@ func successors(sys *System, c *Config, i int) ([]*Config, []Step, error) {
 
 // configSlab carves successor Configs out of shared backing arrays.
 // The merge carves every configuration it interns from the graph's
-// slab, so interning allocates nothing of its own. On the disk store a
-// spilled configuration's memory is freed once every configuration
-// carved from the same slab is spilled too, so residency grows by at
-// most one slab (256 configurations).
+// slab, register files included, so interning allocates nothing of its
+// own but the stepped object's state. On the disk store a spilled
+// configuration's memory is freed once every configuration carved from
+// the same slab is spilled too, so residency grows by at most one slab
+// (256 configurations).
 type configSlab struct {
 	cfgs  []Config
 	procs []machine.ProcState
 	objs  []spec.State
+	regs  []value.Value
 }
 
 // successor returns the configuration c reaches when process i steps
@@ -262,4 +264,49 @@ func (s *configSlab) successor(c *Config, i, obj int, ps machine.ProcState, next
 	nc.Procs[i] = ps
 	nc.Objs[obj] = next
 	return nc
+}
+
+// regFile carves an n-register file from the slab; a fresh array holds
+// size of them.
+func (s *configSlab) regFile(n, size int) []value.Value {
+	if len(s.regs) < n {
+		s.regs = make([]value.Value, size*n)
+	}
+	r := s.regs[:n:n]
+	s.regs = s.regs[n:]
+	return r
+}
+
+// materialize builds the successor of parent that step s leads to, for
+// the merge to intern. Spliced expansion keeps only a successor's key
+// and step, so the step is re-applied here: the object steps into the
+// graph's own transition buffer, whose chosen entry the configuration
+// then owns, and the process is replayed into a register file carved
+// from the slab. Specs are pure (spec.Spec; TestStepPurity), so the
+// re-step offers the branch the worker keyed.
+func (g *graph) materialize(parent *Config, s Step) (*Config, error) {
+	if g.trans == nil {
+		g.trans = make([][]spec.Transition, len(g.sys.Objects))
+	}
+	ts, err := spec.StepAppend(g.sys.Objects[s.Obj], g.trans[s.Obj][:0], parent.Objs[s.Obj], s.Op)
+	if err != nil {
+		return nil, err
+	}
+	g.trans[s.Obj] = ts
+	if s.Branch >= len(ts) || ts[s.Branch].Resp != s.Resp {
+		return nil, fmt.Errorf("explore: %s is impure: re-applying %s does not offer branch %d again",
+			g.sys.Objects[s.Obj].Name(), s, s.Branch)
+	}
+	next := ts[s.Branch].Next
+	// The configuration owns next now: no later step may recycle it.
+	ts[s.Branch].Next = nil
+	// Slabs grow with the graph: small checks carve little, large ones
+	// amortize to ~0 allocations.
+	size := min(256, max(16, len(g.configs)/8))
+	ps := parent.Procs[s.Proc]
+	ps, err = machine.Replay(g.sys.Programs[s.Proc], ps, s.Resp, g.slab.regFile(len(ps.Regs), size))
+	if err != nil {
+		return nil, err
+	}
+	return g.slab.successor(parent, s.Proc, s.Obj, ps, next, size), nil
 }

@@ -275,6 +275,8 @@ type graph struct {
 	canon   []int      // per config: group index g with perms[g]·config canonical
 	disk    *diskState // disk-backed store, nil when Options.Store is off
 	slab    configSlab // backing for successors the merge interns
+	// trans holds one transition buffer per object for materialize.
+	trans [][]spec.Transition
 
 	// edgeOff[id] locates config id's record in the edge log; each
 	// record ends where the next one starts (or at the log's end).
@@ -471,7 +473,7 @@ type search struct {
 	// Snapshot section caches (see encodeSnapshot): the append-only
 	// encoded spanning-tree entries for ids [1, ckptTreeN), and the
 	// counters-section scratch reused across snapshots.
-	ckptTree  []byte
+	ckptTree  byteLog
 	ckptTreeN int
 	ckptBuf   []byte
 
@@ -498,13 +500,10 @@ type succRec struct {
 	id       int // interned id when >= 0 (already in the global table)
 	off, end int // key bytes in the shard's arena when id < 0
 	gi       int // group index minimizing the key (0 when symmetry off)
-	// A successor not yet interned (id < 0) carries what the merge
-	// needs to build it should it turn out fresh: under symmetry the
-	// whole Config, otherwise just the stepping process's new state and
-	// the touched object's, which the merge applies to the parent.
-	cfg  *Config
-	ps   machine.ProcState
-	next spec.State
+	// cfg is, under symmetry, the successor Config of a record not yet
+	// interned (id < 0). Without symmetry it is nil: the merge rebuilds
+	// the successor from the parent and step should it turn out fresh.
+	cfg *Config
 }
 
 // expansion is one expanded configuration; its successors are the
@@ -537,10 +536,10 @@ var shardOutPool = sync.Pool{New: func() any { return new(shardOut) }}
 
 // reset empties out for a shard of n configurations starting at config
 // id start. The previous level's successor records are zeroed first, so
-// no Config or state they pointed to stays reachable. The buffers are
-// kept, or replaced once by larger ones sized from the previous level's
-// per-configuration averages, so a widening level does not copy its
-// buffers through append's repeated 1.25x growth steps.
+// no Config they pointed to stays reachable. The buffers are kept, or
+// replaced by larger ones sized from the previous level's
+// per-configuration averages (see reserved), so a widening level does
+// not copy its buffers through append's repeated 1.25x growth steps.
 func (out *shardOut) reset(start, n int, succsPer, keyBytesPer float64) {
 	clear(out.succs)
 	*out = shardOut{
@@ -553,10 +552,16 @@ func (out *shardOut) reset(start, n int, succsPer, keyBytesPer float64) {
 }
 
 // reserved returns s emptied with room for n elements, reallocating
-// without copying the stale contents when it is too small.
+// without copying the stale contents when it is too small. A
+// reallocation reserves half as much again as asked for, so buffers
+// that follow ever wider levels reallocate only when a level outgrows
+// the last by half, and allocate a small multiple of the widest level
+// in all rather than one buffer per wider level. (Doubling the old
+// capacity instead left pooled buffers up to twice the widest level,
+// which raised a daemon's peak memory.)
 func reserved[E any](s []E, n int) []E {
 	if cap(s) < n {
-		return make([]E, 0, n)
+		return make([]E, 0, n+n/2)
 	}
 	return s[:0]
 }
@@ -792,9 +797,13 @@ func (st *search) expandShard(out *shardOut, start, end int) {
 // spliced from the parent's key bytes plus the two re-encoded
 // components, without materializing the successor Config. The parent
 // key is rendered once per configuration with per-component end
-// offsets. A successor the frozen table has never seen records only
-// its new process and object states; the merge builds its Config
-// from the parent if, and only if, it interns it — most such
+// offsets. Objects step into the worker's per-object transition
+// buffers (spec.StepAppend, which recycles the states of earlier
+// steps) and the process resumes into the worker's register scratch
+// (machine.ResumeInto), so a successor is keyed without allocating. A
+// successor the frozen table has never seen records only its key and
+// step; the merge re-applies the step to the parent and builds the
+// Config if, and only if, it interns it (see materialize) — most such
 // successors are duplicates of one another within the level. This
 // keeps expansion allocation-free apart from the shard's reused
 // buffers, in both backends.
@@ -810,6 +819,9 @@ func (st *search) expandShardSpliced(out *shardOut, sc *keyScratch, start, end i
 		sc.ends = make([]int, 1+np+nobj)
 	}
 	ends := sc.ends[:1+np+nobj]
+	if len(sc.trans) < nobj {
+		sc.trans = make([][]spec.Transition, nobj)
+	}
 	for at := start; at < end; at++ {
 		c := g.configs[at]
 		exp := expansion{quiescent: c.Quiescent(), lo: len(out.succs)}
@@ -841,18 +853,20 @@ func (st *search) expandShardSpliced(out *shardOut, sc *keyScratch, start, end i
 				out.errAt = at
 				return
 			}
-			ts, err := g.sys.Objects[poise.Obj].Step(c.Objs[poise.Obj], poise.Op)
+			jo := poise.Obj
+			ts, err := spec.StepAppend(g.sys.Objects[jo], sc.trans[jo][:0], c.Objs[jo], poise.Op)
 			if err != nil {
 				out.err, out.errAt = err, at
 				return
 			}
+			sc.trans[jo] = ts
 			for b, t := range ts {
-				ps, err := machine.Resume(g.sys.Programs[i], c.Procs[i], t.Resp)
+				ps, err := machine.ResumeInto(g.sys.Programs[i], c.Procs[i], t.Resp, sc.regs)
 				if err != nil {
 					out.err, out.errAt = err, at
 					return
 				}
-				jo := poise.Obj
+				sc.regs = ps.Regs
 				cand := sc.best[:0]
 				cand = binary.AppendUvarint(cand, c.SteppedMask|1<<uint(i))
 				cand = append(cand, pkey[ends[0]:ends[i]]...)
@@ -868,7 +882,6 @@ func (st *search) expandShardSpliced(out *shardOut, sc *keyScratch, start, end i
 				if id, ok := g.tab.lookup(cand); ok {
 					rec.id = id
 				} else {
-					rec.ps, rec.next = ps, t.Next
 					rec.off = len(out.arena)
 					out.arena = append(out.arena, cand...)
 					rec.end = len(out.arena)
@@ -944,14 +957,13 @@ func (st *search) mergeLevel(outs []*shardOut) error {
 					if known, ok := g.tab.lookup(key); ok {
 						id = known
 					} else {
+						var err error
 						c := s.cfg
 						if c == nil {
-							// Slabs grow with the graph: small checks carve
-							// little, large ones amortize to ~0 allocations.
-							size := min(256, max(16, len(g.configs)/8))
-							c = g.slab.successor(parent, s.step.Proc, s.step.Obj, s.ps, s.next, size)
+							if c, err = g.materialize(parent, s.step); err != nil {
+								return err
+							}
 						}
-						var err error
 						if id, err = g.intern(key, c, at, s.step, s.gi); err != nil {
 							return err
 						}

@@ -1,6 +1,7 @@
 // Configuration interning, and the append-only byte log the key log
-// shares with the edge log. The byte log's methods are the only place
-// either log branches on the backend.
+// shares with the edge log (and, always on the heap, the snapshot's tree
+// section). The byte log's methods are the only place either log
+// branches on the backend.
 package explore
 
 import (

@@ -63,13 +63,24 @@ func (g *graph) intern(key []byte, c *Config, parent int, via Step, gi int) (int
 		if err != nil {
 			return 0, err
 		}
-		d.metaOff = append(d.metaOff, off)
+		d.metaOff = push(d.metaOff, off)
 	}
-	g.configs = append(g.configs, c)
-	g.parent = append(g.parent, parent)
-	g.parentE = append(g.parentE, via)
-	g.canon = append(g.canon, gi)
+	g.configs = push(g.configs, c)
+	g.parent = push(g.parent, parent)
+	g.parentE = push(g.parentE, via)
+	g.canon = push(g.canon, gi)
 	return id, nil
+}
+
+// push appends e to a per-configuration column, doubling its capacity
+// when full. append grows a large slice by only 1.25x, so a column
+// grown one element at a time would allocate about five times its final
+// size in all; doubling bounds that by two.
+func push[E any](s []E, e E) []E {
+	if len(s) == cap(s) {
+		s = append(make([]E, 0, max(16, 2*len(s))), s...)
+	}
+	return append(s, e)
 }
 
 // spillExpanded drops the resident *Config of every configuration in
@@ -233,7 +244,7 @@ func (g *graph) logEdges(count int, body []byte) error {
 	if _, err := g.edgeLog.append(body); err != nil {
 		return err
 	}
-	g.edgeOff = append(g.edgeOff, off)
+	g.edgeOff = push(g.edgeOff, off)
 	return nil
 }
 

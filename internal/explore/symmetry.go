@@ -346,9 +346,13 @@ type keyScratch struct {
 	best []byte
 	cand []byte
 	// Spliced-expansion scratch (symmetry off, expandShardSpliced): the
-	// parent key and its per-component end offsets.
+	// parent key and its per-component end offsets, one transition
+	// buffer per object whose spare entries' states the object's
+	// StepAppend recycles, and the register file successors resume into.
 	parent []byte
 	ends   []int
+	trans  [][]spec.Transition
+	regs   []value.Value
 }
 
 // canonical renders the canonical (orbit-minimal) key of c into sc and

@@ -106,12 +106,6 @@ func (ps ProcState) AppendKey(dst []byte) []byte {
 	return dst
 }
 
-func (ps ProcState) cloneRegs() []value.Value {
-	regs := make([]value.Value, len(ps.Regs))
-	copy(regs, ps.Regs)
-	return regs
-}
-
 func eval(regs []value.Value, o Operand) value.Value {
 	if o.IsReg {
 		return regs[o.Reg]
@@ -135,6 +129,27 @@ func Start(p *Program, pid int, input value.Value) (ProcState, error) {
 // Resume feeds the response of the shared-memory step the process was
 // poised at, then advances to the next poise point or terminal status.
 func Resume(p *Program, ps ProcState, resp value.Value) (ProcState, error) {
+	return ResumeInto(p, ps, resp, nil)
+}
+
+// ResumeInto is Resume writing the successor's register file into the
+// backing array of regs, which the caller owns and which must not
+// overlap ps.Regs; when regs is too short a new array is allocated. The
+// model checker resumes every successor into one reused buffer and
+// keeps only the key it encodes.
+func ResumeInto(p *Program, ps ProcState, resp value.Value, regs []value.Value) (ProcState, error) {
+	return resume(p, ps, resp, regs, true)
+}
+
+// Replay is ResumeInto for a step that has already been taken and
+// counted: the model checker re-derives the successor it keyed with
+// ResumeInto when, and only when, it interns it. Replay does not count
+// as a shared-memory step.
+func Replay(p *Program, ps ProcState, resp value.Value, regs []value.Value) (ProcState, error) {
+	return resume(p, ps, resp, regs, false)
+}
+
+func resume(p *Program, ps ProcState, resp value.Value, regs []value.Value, count bool) (ProcState, error) {
 	if ps.Status != StatusPoised {
 		return ps, fmt.Errorf("%s: resume of %s process: %w", p.Name, ps.Status, ErrProgram)
 	}
@@ -142,9 +157,15 @@ func Resume(p *Program, ps ProcState, resp value.Value) (ProcState, error) {
 	if in.Kind != InstrInvoke {
 		return ps, fmt.Errorf("%s: pc %d not an invoke: %w", p.Name, ps.PC, ErrProgram)
 	}
-	countStep()
+	if count {
+		countStep()
+	}
+	if cap(regs) < len(ps.Regs) {
+		regs = make([]value.Value, len(ps.Regs))
+	}
 	next := ps
-	next.Regs = ps.cloneRegs()
+	next.Regs = regs[:len(ps.Regs)]
+	copy(next.Regs, ps.Regs)
 	next.Regs[in.Dst] = resp
 	next.PC++
 	return normalize(p, next)
@@ -174,18 +195,10 @@ func Crash(ps ProcState) ProcState {
 
 // normalize executes local instructions until the process is poised at
 // an Invoke or terminates. Falling off the end of the program halts the
-// process.
+// process. It writes registers in place: both callers pass a register
+// file they own.
 func normalize(p *Program, ps ProcState) (ProcState, error) {
 	regs := ps.Regs
-	mutated := false
-	ensureOwned := func() {
-		if !mutated {
-			clone := make([]value.Value, len(regs))
-			copy(clone, regs)
-			regs = clone
-			mutated = true
-		}
-	}
 	pc := ps.PC
 	for steps := 0; ; steps++ {
 		if steps > MaxLocalSteps {
@@ -199,15 +212,12 @@ func normalize(p *Program, ps ProcState) (ProcState, error) {
 		case InstrInvoke:
 			return ProcState{Regs: regs, Decision: value.None, PC: pc, Status: StatusPoised}, nil
 		case InstrSet:
-			ensureOwned()
 			regs[in.Dst] = eval(regs, in.A)
 			pc++
 		case InstrAdd:
-			ensureOwned()
 			regs[in.Dst] = eval(regs, in.A) + eval(regs, in.B)
 			pc++
 		case InstrSub:
-			ensureOwned()
 			regs[in.Dst] = eval(regs, in.A) - eval(regs, in.B)
 			pc++
 		case InstrJmp:

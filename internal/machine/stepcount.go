@@ -2,11 +2,11 @@ package machine
 
 import "sync/atomic"
 
-// Shared-memory step accounting. Every Resume is one step in the
-// paper's sense (one operation applied to a shared object), so a global
-// tally here counts steps across every engine — model checker,
-// simulator, sweeps — without threading a sink through the hottest call
-// path. The counter is disabled by default and gated behind an atomic
+// Shared-memory step accounting. Every Resume or ResumeInto is one step
+// in the paper's sense (one operation applied to a shared object), and
+// a Replay of an already-counted step is none, so a global tally here
+// counts steps across every engine — model checker, simulator, sweeps —
+// without threading a sink through the hottest call path. The counter is disabled by default and gated behind an atomic
 // flag, so uninstrumented runs pay a single atomic load per step; the
 // cmd tools enable it when -metrics or -events is given and report the
 // delta as the machine.steps counter.
@@ -24,7 +24,7 @@ func EnableStepCount(on bool) { stepCountEnabled.Store(on) }
 func StepCountEnabled() bool { return stepCountEnabled.Load() }
 
 // TotalSteps returns the cumulative number of shared-memory steps
-// executed (Resume calls) while counting was enabled.
+// executed (Resume and ResumeInto calls) while counting was enabled.
 func TotalSteps() int64 { return stepCount.Load() }
 
 // countStep tallies one shared-memory step if counting is enabled.

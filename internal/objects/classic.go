@@ -22,7 +22,7 @@ type QueueState struct {
 }
 
 // Key implements spec.State.
-func (s QueueState) Key() string {
+func (s *QueueState) Key() string {
 	var b strings.Builder
 	b.WriteByte('q')
 	for i, v := range s.Items {
@@ -35,7 +35,7 @@ func (s QueueState) Key() string {
 }
 
 // AppendKey implements spec.State.
-func (s QueueState) AppendKey(dst []byte) []byte {
+func (s *QueueState) AppendKey(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s.Items)))
 	for _, v := range s.Items {
 		dst = binary.AppendVarint(dst, int64(v))
@@ -43,7 +43,7 @@ func (s QueueState) AppendKey(dst []byte) []byte {
 	return dst
 }
 
-var _ spec.State = QueueState{}
+var _ spec.State = (*QueueState)(nil)
 
 // Queue is the sequential specification of a FIFO queue: ENQUEUE(v)
 // returns done; DEQUEUE returns and removes the head, or None when
@@ -71,11 +71,11 @@ func (Queue) Name() string { return "queue" }
 // Init implements spec.Spec.
 func (q Queue) Init() spec.State {
 	if len(q.Initial) == 0 {
-		return QueueState{}
+		return &QueueState{}
 	}
 	items := make([]value.Value, len(q.Initial))
 	copy(items, q.Initial)
-	return QueueState{Items: items}
+	return &QueueState{Items: items}
 }
 
 // Deterministic reports that queues are deterministic.
@@ -87,7 +87,12 @@ func (Queue) ValueOblivious() bool { return true }
 
 // Step implements spec.Spec.
 func (q Queue) Step(s spec.State, op value.Op) ([]spec.Transition, error) {
-	st, ok := s.(QueueState)
+	return q.StepAppend(nil, s, op)
+}
+
+// StepAppend implements the spec.StepAppend extension.
+func (q Queue) StepAppend(dst []spec.Transition, s spec.State, op value.Op) ([]spec.Transition, error) {
+	st, ok := s.(*QueueState)
 	if !ok {
 		return nil, spec.BadOpError(q.Name(), op, "foreign state")
 	}
@@ -96,19 +101,17 @@ func (q Queue) Step(s spec.State, op value.Op) ([]spec.Transition, error) {
 		if err := spec.CheckProposal(q, op); err != nil {
 			return nil, err
 		}
-		items := make([]value.Value, len(st.Items), len(st.Items)+1)
-		copy(items, st.Items)
-		return []spec.Transition{{
-			Next: QueueState{Items: append(items, op.Arg)},
-			Resp: value.Done,
-		}}, nil
+		next := spec.Recycle[QueueState](dst, s)
+		next.Items = append(append(next.Items[:0], st.Items...), op.Arg)
+		return append(dst, spec.Transition{Next: next, Resp: value.Done}), nil
 	case value.MethodDequeue:
+		next := spec.Recycle[QueueState](dst, s)
 		if len(st.Items) == 0 {
-			return []spec.Transition{{Next: st, Resp: value.None}}, nil
+			next.Items = next.Items[:0]
+			return append(dst, spec.Transition{Next: next, Resp: value.None}), nil
 		}
-		rest := make([]value.Value, len(st.Items)-1)
-		copy(rest, st.Items[1:])
-		return []spec.Transition{{Next: QueueState{Items: rest}, Resp: st.Items[0]}}, nil
+		next.Items = append(next.Items[:0], st.Items[1:]...)
+		return append(dst, spec.Transition{Next: next, Resp: st.Items[0]}), nil
 	default:
 		return nil, spec.BadOpError(q.Name(), op, "queue supports ENQUEUE and DEQUEUE only")
 	}
@@ -121,14 +124,14 @@ type CounterState struct {
 }
 
 // Key implements spec.State.
-func (s CounterState) Key() string { return "c" + strconv.FormatInt(int64(s.Total), 36) }
+func (s *CounterState) Key() string { return "c" + strconv.FormatInt(int64(s.Total), 36) }
 
 // AppendKey implements spec.State.
-func (s CounterState) AppendKey(dst []byte) []byte {
+func (s *CounterState) AppendKey(dst []byte) []byte {
 	return binary.AppendVarint(dst, int64(s.Total))
 }
 
-var _ spec.State = CounterState{}
+var _ spec.State = (*CounterState)(nil)
 
 // Counter is the sequential specification of a fetch&add counter:
 // FETCH_ADD(v) adds v and returns the prior total. Its consensus number
@@ -144,19 +147,26 @@ func NewCounter() Counter { return Counter{} }
 func (Counter) Name() string { return "fetch&add" }
 
 // Init implements spec.Spec.
-func (Counter) Init() spec.State { return CounterState{} }
+func (Counter) Init() spec.State { return &CounterState{} }
 
 // Deterministic reports that counters are deterministic.
 func (Counter) Deterministic() bool { return true }
 
 // Step implements spec.Spec.
 func (c Counter) Step(s spec.State, op value.Op) ([]spec.Transition, error) {
-	st, ok := s.(CounterState)
+	return c.StepAppend(nil, s, op)
+}
+
+// StepAppend implements the spec.StepAppend extension.
+func (c Counter) StepAppend(dst []spec.Transition, s spec.State, op value.Op) ([]spec.Transition, error) {
+	st, ok := s.(*CounterState)
 	if !ok {
 		return nil, spec.BadOpError(c.Name(), op, "foreign state")
 	}
+	next := spec.Recycle[CounterState](dst, s)
 	if op.Method == value.MethodRead {
-		return []spec.Transition{{Next: st, Resp: st.Total}}, nil
+		*next = *st
+		return append(dst, spec.Transition{Next: next, Resp: st.Total}), nil
 	}
 	if op.Method != value.MethodFetchAdd {
 		return nil, spec.BadOpError(c.Name(), op, "counter supports FETCH_ADD and READ only")
@@ -164,10 +174,8 @@ func (c Counter) Step(s spec.State, op value.Op) ([]spec.Transition, error) {
 	if op.Arg.IsSentinel() {
 		return nil, spec.BadOpError(c.Name(), op, "sentinel increment")
 	}
-	return []spec.Transition{{
-		Next: CounterState{Total: st.Total + op.Arg},
-		Resp: st.Total,
-	}}, nil
+	next.Total = st.Total + op.Arg
+	return append(dst, spec.Transition{Next: next, Resp: st.Total}), nil
 }
 
 // TASState is the state of a test&set bit.
@@ -215,6 +223,12 @@ func (TestAndSet) Deterministic() bool { return true }
 
 // Step implements spec.Spec.
 func (t TestAndSet) Step(s spec.State, op value.Op) ([]spec.Transition, error) {
+	return t.StepAppend(nil, s, op)
+}
+
+// StepAppend implements the spec.StepAppend extension. A TASState is
+// one byte, which Go boxes without allocating, so it stays a value.
+func (t TestAndSet) StepAppend(dst []spec.Transition, s spec.State, op value.Op) ([]spec.Transition, error) {
 	st, ok := s.(TASState)
 	if !ok {
 		return nil, spec.BadOpError(t.Name(), op, "foreign state")
@@ -226,7 +240,7 @@ func (t TestAndSet) Step(s spec.State, op value.Op) ([]spec.Transition, error) {
 	if st.Set {
 		prior = 1
 	}
-	return []spec.Transition{{Next: TASState{Set: true}, Resp: prior}}, nil
+	return append(dst, spec.Transition{Next: TASState{Set: true}, Resp: prior}), nil
 }
 
 // Sticky returns the "sticky" consensus object that serves any number

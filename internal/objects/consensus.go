@@ -19,17 +19,17 @@ type ConsensusState struct {
 }
 
 // Key implements spec.State.
-func (s ConsensusState) Key() string {
+func (s *ConsensusState) Key() string {
 	return strconv.FormatInt(int64(s.Val), 36) + "." + strconv.Itoa(s.Count)
 }
 
 // AppendKey implements spec.State.
-func (s ConsensusState) AppendKey(dst []byte) []byte {
+func (s *ConsensusState) AppendKey(dst []byte) []byte {
 	dst = binary.AppendVarint(dst, int64(s.Val))
 	return binary.AppendUvarint(dst, uint64(s.Count))
 }
 
-var _ spec.State = ConsensusState{}
+var _ spec.State = (*ConsensusState)(nil)
 
 // Consensus is the deterministic linearizable n-consensus object of §4
 // footnote 6 (after Jayanti [12] and Qadri [13]): each of the first N
@@ -55,7 +55,7 @@ func (c Consensus) Name() string {
 
 // Init implements spec.Spec.
 func (Consensus) Init() spec.State {
-	return ConsensusState{Val: value.None}
+	return &ConsensusState{Val: value.None}
 }
 
 // Deterministic reports that n-consensus objects are deterministic.
@@ -67,7 +67,12 @@ func (Consensus) ValueOblivious() bool { return true }
 
 // Step implements spec.Spec.
 func (c Consensus) Step(s spec.State, op value.Op) ([]spec.Transition, error) {
-	st, ok := s.(ConsensusState)
+	return c.StepAppend(nil, s, op)
+}
+
+// StepAppend implements the spec.StepAppend extension.
+func (c Consensus) StepAppend(dst []spec.Transition, s spec.State, op value.Op) ([]spec.Transition, error) {
+	st, ok := s.(*ConsensusState)
 	if !ok {
 		return nil, spec.BadOpError(c.Name(), op, "foreign state")
 	}
@@ -77,17 +82,18 @@ func (c Consensus) Step(s spec.State, op value.Op) ([]spec.Transition, error) {
 	if err := spec.CheckProposal(c, op); err != nil {
 		return nil, err
 	}
-	next := st
+	next := spec.Recycle[ConsensusState](dst, s)
+	*next = *st
 	if next.Count <= c.N {
 		next.Count++
 	}
 	if st.Count >= c.N {
 		// The object has already served N proposals; it is "no longer
 		// useful" (proof of Claim 4.2.9) and returns ⊥ forever.
-		return []spec.Transition{{Next: next, Resp: value.Bottom}}, nil
+		return append(dst, spec.Transition{Next: next, Resp: value.Bottom}), nil
 	}
 	if next.Val == value.None {
 		next.Val = op.Arg
 	}
-	return []spec.Transition{{Next: next, Resp: next.Val}}, nil
+	return append(dst, spec.Transition{Next: next, Resp: next.Val}), nil
 }

@@ -17,6 +17,7 @@ import (
 )
 
 // RegisterState is the state of an atomic register: the value it holds.
+// Registers hand states out by pointer so StepAppend can recycle them.
 type RegisterState struct {
 	// Val is the register content; value.None until first written if
 	// the register was created with no initial value.
@@ -24,16 +25,16 @@ type RegisterState struct {
 }
 
 // Key implements spec.State.
-func (s RegisterState) Key() string {
+func (s *RegisterState) Key() string {
 	return strconv.FormatInt(int64(s.Val), 36)
 }
 
 // AppendKey implements spec.State.
-func (s RegisterState) AppendKey(dst []byte) []byte {
+func (s *RegisterState) AppendKey(dst []byte) []byte {
 	return binary.AppendVarint(dst, int64(s.Val))
 }
 
-var _ spec.State = RegisterState{}
+var _ spec.State = (*RegisterState)(nil)
 
 // Register is the sequential specification of an atomic read/write
 // register holding a single Value.
@@ -52,7 +53,7 @@ func NewRegister() Register { return Register{Initial: value.None} }
 func (Register) Name() string { return "register" }
 
 // Init implements spec.Spec.
-func (r Register) Init() spec.State { return RegisterState{Val: r.Initial} }
+func (r Register) Init() spec.State { return &RegisterState{Val: r.Initial} }
 
 // Deterministic reports that registers are deterministic objects.
 func (Register) Deterministic() bool { return true }
@@ -64,15 +65,23 @@ func (Register) ValueOblivious() bool { return true }
 // Step implements spec.Spec: READ returns the current content and leaves
 // the state unchanged; WRITE(v) stores v and returns done.
 func (r Register) Step(s spec.State, op value.Op) ([]spec.Transition, error) {
-	st, ok := s.(RegisterState)
+	return r.StepAppend(nil, s, op)
+}
+
+// StepAppend implements the spec.StepAppend extension.
+func (r Register) StepAppend(dst []spec.Transition, s spec.State, op value.Op) ([]spec.Transition, error) {
+	st, ok := s.(*RegisterState)
 	if !ok {
 		return nil, spec.BadOpError(r.Name(), op, "foreign state")
 	}
+	next := spec.Recycle[RegisterState](dst, s)
 	switch op.Method {
 	case value.MethodRead:
-		return []spec.Transition{{Next: st, Resp: st.Val}}, nil
+		*next = *st
+		return append(dst, spec.Transition{Next: next, Resp: st.Val}), nil
 	case value.MethodWrite:
-		return []spec.Transition{{Next: RegisterState{Val: op.Arg}, Resp: value.Done}}, nil
+		next.Val = op.Arg
+		return append(dst, spec.Transition{Next: next, Resp: value.Done}), nil
 	default:
 		return nil, spec.BadOpError(r.Name(), op, "register supports READ and WRITE only")
 	}

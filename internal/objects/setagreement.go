@@ -26,7 +26,7 @@ type SetAgreementState struct {
 }
 
 // Key implements spec.State.
-func (s SetAgreementState) Key() string {
+func (s *SetAgreementState) Key() string {
 	var b strings.Builder
 	for i, v := range s.Vals {
 		if i > 0 {
@@ -40,7 +40,7 @@ func (s SetAgreementState) Key() string {
 }
 
 // AppendKey implements spec.State.
-func (s SetAgreementState) AppendKey(dst []byte) []byte {
+func (s *SetAgreementState) AppendKey(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s.Vals)))
 	for _, v := range s.Vals {
 		dst = binary.AppendVarint(dst, int64(v))
@@ -48,9 +48,9 @@ func (s SetAgreementState) AppendKey(dst []byte) []byte {
 	return binary.AppendUvarint(dst, uint64(s.Count))
 }
 
-var _ spec.State = SetAgreementState{}
+var _ spec.State = (*SetAgreementState)(nil)
 
-func (s SetAgreementState) contains(v value.Value) bool {
+func (s *SetAgreementState) contains(v value.Value) bool {
 	for _, x := range s.Vals {
 		if x == v {
 			return true
@@ -98,7 +98,7 @@ func (sa SetAgreement) Name() string {
 }
 
 // Init implements spec.Spec.
-func (SetAgreement) Init() spec.State { return SetAgreementState{} }
+func (SetAgreement) Init() spec.State { return &SetAgreementState{} }
 
 // Deterministic reports whether the object has any nondeterministic
 // branching; only the K = 1 (consensus) degenerate case is
@@ -111,10 +111,17 @@ func (sa SetAgreement) Deterministic() bool { return sa.K <= 1 }
 func (SetAgreement) ValueOblivious() bool { return true }
 
 // Step implements spec.Spec. Nondeterminism: one transition per member
-// of STATE (they share the successor state and differ only in the
+// of STATE (they have equal successor states and differ only in the
 // response).
 func (sa SetAgreement) Step(s spec.State, op value.Op) ([]spec.Transition, error) {
-	st, ok := s.(SetAgreementState)
+	return sa.StepAppend(nil, s, op)
+}
+
+// StepAppend implements the spec.StepAppend extension. Each branch gets
+// its own copy of the successor state, so each entry's state is its own
+// to recycle.
+func (sa SetAgreement) StepAppend(dst []spec.Transition, s spec.State, op value.Op) ([]spec.Transition, error) {
+	st, ok := s.(*SetAgreementState)
 	if !ok {
 		return nil, spec.BadOpError(sa.Name(), op, "foreign state")
 	}
@@ -125,23 +132,31 @@ func (sa SetAgreement) Step(s spec.State, op value.Op) ([]spec.Transition, error
 		return nil, err
 	}
 
-	next := SetAgreementState{Vals: st.Vals, Count: st.Count}
-	if sa.N != Unbounded && next.Count <= sa.N {
-		next.Count++
+	count := st.Count
+	if sa.N != Unbounded && count <= sa.N {
+		count++
 	}
 	if sa.N != Unbounded && st.Count >= sa.N {
 		// Participation exhausted: like the n-consensus object, the
 		// object answers ⊥ forever after its first N proposals.
-		return []spec.Transition{{Next: next, Resp: value.Bottom}}, nil
+		next := spec.Recycle[SetAgreementState](dst, s)
+		next.Vals = append(next.Vals[:0], st.Vals...)
+		next.Count = count
+		return append(dst, spec.Transition{Next: next, Resp: value.Bottom}), nil
 	}
-	if len(st.Vals) < sa.K && !st.contains(op.Arg) {
-		vals := make([]value.Value, len(st.Vals), len(st.Vals)+1)
-		copy(vals, st.Vals)
-		next.Vals = append(vals, op.Arg)
+	add := len(st.Vals) < sa.K && !st.contains(op.Arg)
+	branches := len(st.Vals)
+	if add {
+		branches++
 	}
-	ts := make([]spec.Transition, len(next.Vals))
-	for i, v := range next.Vals {
-		ts[i] = spec.Transition{Next: next, Resp: v}
+	for b := 0; b < branches; b++ {
+		next := spec.Recycle[SetAgreementState](dst, s)
+		next.Vals = append(next.Vals[:0], st.Vals...)
+		if add {
+			next.Vals = append(next.Vals, op.Arg)
+		}
+		next.Count = count
+		dst = append(dst, spec.Transition{Next: next, Resp: next.Vals[b]})
 	}
-	return ts, nil
+	return dst, nil
 }

@@ -17,28 +17,28 @@ import (
 )
 
 // AppendKeyUnder implements spec.Symmetric.
-func (s RegisterState) AppendKeyUnder(dst []byte, p spec.Perm) []byte {
+func (s *RegisterState) AppendKeyUnder(dst []byte, p spec.Perm) []byte {
 	return binary.AppendVarint(dst, int64(p.Val(s.Val)))
 }
 
-var _ spec.Symmetric = RegisterState{}
+var _ spec.Symmetric = (*RegisterState)(nil)
 
 // AppendKeyUnder implements spec.Symmetric. Count is a pure
 // cardinality, fixed under any permutation; Val is the first proposal,
 // and the permuted execution's first proposal is the image of the
 // original's.
-func (s ConsensusState) AppendKeyUnder(dst []byte, p spec.Perm) []byte {
+func (s *ConsensusState) AppendKeyUnder(dst []byte, p spec.Perm) []byte {
 	dst = binary.AppendVarint(dst, int64(p.Val(s.Val)))
 	return binary.AppendUvarint(dst, uint64(s.Count))
 }
 
-var _ spec.Symmetric = ConsensusState{}
+var _ spec.Symmetric = (*ConsensusState)(nil)
 
 // AppendKeyUnder implements spec.Symmetric. Vals is kept in
 // first-proposal order and the permuted execution proposes images in
 // the same order, so the image state's Vals is the in-order image of
 // Vals — never sort here.
-func (s SetAgreementState) AppendKeyUnder(dst []byte, p spec.Perm) []byte {
+func (s *SetAgreementState) AppendKeyUnder(dst []byte, p spec.Perm) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s.Vals)))
 	for _, v := range s.Vals {
 		dst = binary.AppendVarint(dst, int64(p.Val(v)))
@@ -46,11 +46,11 @@ func (s SetAgreementState) AppendKeyUnder(dst []byte, p spec.Perm) []byte {
 	return binary.AppendUvarint(dst, uint64(s.Count))
 }
 
-var _ spec.Symmetric = SetAgreementState{}
+var _ spec.Symmetric = (*SetAgreementState)(nil)
 
 // AppendKeyUnder implements spec.Symmetric (FIFO order is positional
 // and preserved by the permuted execution).
-func (s QueueState) AppendKeyUnder(dst []byte, p spec.Perm) []byte {
+func (s *QueueState) AppendKeyUnder(dst []byte, p spec.Perm) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s.Items)))
 	for _, v := range s.Items {
 		dst = binary.AppendVarint(dst, int64(p.Val(v)))
@@ -58,7 +58,7 @@ func (s QueueState) AppendKeyUnder(dst []byte, p spec.Perm) []byte {
 	return dst
 }
 
-var _ spec.Symmetric = QueueState{}
+var _ spec.Symmetric = (*QueueState)(nil)
 
 // AppendKeyUnder implements spec.Symmetric (a bit holds no ids or
 // values; the key is permutation-invariant).

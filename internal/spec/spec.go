@@ -12,6 +12,21 @@
 //     a mutex and resolves nondeterminism with a pluggable Chooser; and
 //   - the model checker (internal/explore) branches over every
 //     transition a Step offers.
+//
+// A spec may also implement the optional StepAppend extension (see the
+// StepAppend function), which writes its transitions into a
+// caller-owned slice and may overwrite the states that slice's spare
+// entries hold. The model checker steps through it so that a successor
+// it only keys, and never keeps, costs no allocation. The contract:
+// StepAppend(dst, s, op) returns what Step(s, op) returns, appended to
+// dst; every entry in dst[len(dst):cap(dst)] is dead, so the states
+// their Next fields hold may be overwritten and returned; s is never
+// mutated, even when a dead entry holds it; and no returned Next
+// aliases s or another returned Next, so each entry's state is the
+// entry's own to recycle later (Recycle implements the first two rules
+// for pointer states). In-tree specs
+// implement Step as StepAppend(nil, s, op), so each object has exactly
+// one transition function.
 package spec
 
 import (
@@ -69,6 +84,39 @@ type Spec interface {
 	// an error wrapping ErrBadOp if op is not part of the object's
 	// interface; it never returns an empty transition set otherwise.
 	Step(s State, op value.Op) ([]Transition, error)
+}
+
+// StepAppend applies op to s like sp.Step and appends the transitions
+// to dst, through sp's own StepAppend extension when it has one (see
+// the package comment for the contract). Specs without the extension
+// take Step's result, which is copied onto dst.
+func StepAppend(sp Spec, dst []Transition, s State, op value.Op) ([]Transition, error) {
+	if a, ok := sp.(interface {
+		StepAppend(dst []Transition, s State, op value.Op) ([]Transition, error)
+	}); ok {
+		return a.StepAppend(dst, s, op)
+	}
+	ts, err := sp.Step(s, op)
+	if err != nil {
+		return nil, err
+	}
+	return append(dst, ts...), nil
+}
+
+// Recycle returns the state a StepAppend implementation fills for the
+// next transition it appends to dst: the dead entry's *S when it holds
+// one other than the input state s, else a new *S. The caller
+// overwrites every field of the returned state.
+func Recycle[S any, P interface {
+	*S
+	State
+}](dst []Transition, s State) P {
+	if len(dst) < cap(dst) {
+		if p, ok := dst[:len(dst)+1][len(dst)].Next.(P); ok && State(p) != s {
+			return p
+		}
+	}
+	return new(S)
 }
 
 // Deterministic reports whether the spec declares itself deterministic.

@@ -200,7 +200,7 @@ func TestAtomicSnapshotIsolated(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The earlier snapshot still shows the pre-decide state.
-	ps, ok := snap.(core.PACState)
+	ps, ok := snap.(*core.PACState)
 	if !ok || ps.V[0] != 5 {
 		t.Fatalf("snapshot changed under later ops: %+v", snap)
 	}
